@@ -1,10 +1,10 @@
 // Command palu-bench runs the repo's pinned hot-path benchmarks —
-// streaming window reduce (a worker × shard matrix plus the legacy
-// serial/sharded pins), PTRC archive replay (sequential and parallel
-// decode, per block codec), PTRC recording and transcoding (write-side
-// codec × writer-workers matrix plus the index-driven passthrough), and
-// model fitting — and writes a machine-readable JSON record.
-// BENCH_PR10.json at the repo root is the committed perf trajectory; CI
+// streaming window reduce (a worker-count matrix plus the legacy serial
+// pin), PTRC archive replay (sequential and parallel decode, per block
+// codec), PTRC recording and transcoding (write-side codec ×
+// writer-workers matrix plus the index-driven passthrough), and model
+// fitting — and writes a machine-readable JSON record.
+// BENCH_PR12.json at the repo root is the committed perf trajectory; CI
 // re-runs the suite and compares against it benchstat-style. The suite
 // runs instrumented (internal/obs) and v3+ records embed the resulting
 // metrics snapshot, so every committed record also documents the
@@ -18,12 +18,16 @@
 // records add the engine suite: a four-consumer scenario run over a
 // warm window cache, shared-replay against independent — the
 // ReplayedPackets column is the witness that sharing replays each
-// window once where the independent run replays it per consumer.
+// window once where the independent run replays it per consumer. v7
+// records drop the intra-window sharding entries (the sharded pin, the
+// -s4/-s8 matrix points and the per-entry shard count) along with the
+// pipeline option they measured; the remaining matrix points keep their
+// -s1 names so the trajectory across records stays continuous.
 //
 // Usage:
 //
-//	palu-bench -out BENCH_PR10.json                   # run + record
-//	palu-bench -out /tmp/b.json -compare BENCH_PR10.json -max-regression 5
+//	palu-bench -out BENCH_PR12.json                   # run + record
+//	palu-bench -out /tmp/b.json -compare BENCH_PR12.json -max-regression 5
 //	palu-bench -packets 500000 -replay-packets 200000 # smaller workloads
 //	palu-bench -metrics - -cpuprofile cpu.pb.gz       # snapshot + profile
 //
@@ -72,7 +76,7 @@ type Record struct {
 // Bench is one pinned benchmark's measurement. CPUs is recorded per
 // entry (not just per record) so a compare against a baseline captured
 // on different hardware can skip throughput gating entry by entry;
-// Workers/Shards identify the matrix point for pipeline benchmarks.
+// Workers identifies the matrix point for pipeline benchmarks.
 // Codec and ArchiveBytes (v4+) identify the PTRC block codec a replay
 // benchmark decoded and the archive size it read, so a committed record
 // prices the codec's size/speed trade, not just its speed.
@@ -80,7 +84,6 @@ type Bench struct {
 	Name         string `json:"name"`
 	CPUs         int    `json:"cpus,omitempty"`
 	Workers      int    `json:"workers,omitempty"`
-	Shards       int    `json:"shards,omitempty"`
 	Codec        string `json:"codec,omitempty"`
 	ArchiveBytes uint64 `json:"archive_bytes,omitempty"`
 	// ReplayedPackets (v6+, engine-suite entries) is the total packets the
@@ -100,17 +103,17 @@ const (
 	schemaV3 = "palu-bench-v3" // pre-codec records: deflate-only replay
 	schemaV4 = "palu-bench-v4" // pre-write-path records: replay/fit only
 	schemaV5 = "palu-bench-v5" // pre-engine-suite records: no shared-replay pair
-	schemaV6 = "palu-bench-v6"
+	schemaV6 = "palu-bench-v6" // pre-v7 records: intra-window sharding entries
+	schemaV7 = "palu-bench-v7"
 )
 
-// matrixWorkers × matrixShards is the pipeline benchmark grid. The
-// {1,1} point doubles as the legacy pipeline-reduce-serial pin.
+// matrixWorkers is the pipeline benchmark grid. The one-worker point
+// doubles as the legacy pipeline-reduce-serial pin.
 // recordWorkers is the write-side matrix: each codec is recorded at
 // every worker count (w1 = the serial writer; the archives are
 // byte-identical at any count, only the wall time moves).
 var (
 	matrixWorkers = []int{1, 2, 4}
-	matrixShards  = []int{1, 4, 8}
 	recordWorkers = []int{1, 2, 4}
 )
 
@@ -196,7 +199,7 @@ type suiteConfig struct {
 // the hot path as shipped (the overhead gate in the root test suite
 // separately bounds the instrumented/stripped ratio).
 func runSuite(cfg suiteConfig) (Record, error) {
-	rec := Record{Schema: schemaV6, Go: runtime.Version(), CPUs: runtime.NumCPU()}
+	rec := Record{Schema: schemaV7, Go: runtime.Version(), CPUs: runtime.NumCPU()}
 	obsReg := cfg.obs
 	if obsReg == nil {
 		obsReg = obs.NewRegistry()
@@ -207,16 +210,12 @@ func runSuite(cfg suiteConfig) (Record, error) {
 	if nv < 1 {
 		nv = 1
 	}
-	cpuShards := runtime.NumCPU()
-	if cpuShards > stream.MaxShards {
-		cpuShards = stream.MaxShards
-	}
 	const nodes = 1 << 13
 
-	pipeline := func(workers, shards int) func() error {
+	pipeline := func(workers int) func() error {
 		return func() error {
 			src := newSynthTrace(2, cfg.packets, nodes)
-			_, err := stream.Run(src, stream.PipelineConfig{NV: nv, Workers: workers, Shards: shards, Metrics: sm})
+			_, err := stream.Run(src, stream.PipelineConfig{NV: nv, Workers: workers, Metrics: sm})
 			return err
 		}
 	}
@@ -227,37 +226,31 @@ func runSuite(cfg suiteConfig) (Record, error) {
 		rec.Results = append(rec.Results, b)
 		return nil
 	}
-	pipelineEntry := func(name string, workers, shards int) (Bench, error) {
-		b, err := measure(name, cfg.minTime, cfg.maxIters, pipeline(workers, shards))
-		b.Workers, b.Shards = workers, shards
+	pipelineEntry := func(name string, workers int) (Bench, error) {
+		b, err := measure(name, cfg.minTime, cfg.maxIters, pipeline(workers))
+		b.Workers = workers
 		b.MPacketsPerS = float64(cfg.packets) / (b.NsPerOp / 1e9) / 1e6
 		return b, err
 	}
 
-	// Legacy pins first: serial is the matrix's {1,1} point measured
-	// once and recorded under both names; sharded keeps its historical
-	// geometry (one worker, one shard per CPU).
-	serial, err := pipelineEntry("pipeline-reduce-serial", 1, 1)
+	// Legacy pin first: serial is the matrix's one-worker point measured
+	// once and recorded under both names.
+	serial, err := pipelineEntry("pipeline-reduce-serial", 1)
 	if err := add(serial, err); err != nil {
 		return rec, err
 	}
-	if err := add(pipelineEntry("pipeline-reduce-sharded", 1, cpuShards)); err != nil {
-		return rec, err
-	}
 	for _, w := range matrixWorkers {
-		for _, s := range matrixShards {
-			name := fmt.Sprintf("pipeline-w%d-s%d", w, s)
-			if w == 1 && s == 1 {
-				b := serial
-				b.Name = name
-				if err := add(b, nil); err != nil {
-					return rec, err
-				}
-				continue
-			}
-			if err := add(pipelineEntry(name, w, s)); err != nil {
+		name := fmt.Sprintf("pipeline-w%d-s1", w)
+		if w == 1 {
+			b := serial
+			b.Name = name
+			if err := add(b, nil); err != nil {
 				return rec, err
 			}
+			continue
+		}
+		if err := add(pipelineEntry(name, w)); err != nil {
+			return rec, err
 		}
 	}
 
@@ -545,7 +538,7 @@ func readRecord(path string) (Record, error) {
 		return Record{}, fmt.Errorf("%s: %w", path, err)
 	}
 	switch rec.Schema {
-	case schemaV1, schemaV2, schemaV3, schemaV4, schemaV5, schemaV6:
+	case schemaV1, schemaV2, schemaV3, schemaV4, schemaV5, schemaV6, schemaV7:
 	default:
 		return Record{}, fmt.Errorf("%s: unknown schema %q", path, rec.Schema)
 	}
@@ -555,7 +548,7 @@ func readRecord(path string) (Record, error) {
 func run(args []string, logger *log.Logger) error {
 	fs := flag.NewFlagSet("palu-bench", flag.ContinueOnError)
 	var (
-		out           = fs.String("out", "BENCH_PR10.json", "output JSON path")
+		out           = fs.String("out", "BENCH_PR12.json", "output JSON path")
 		comparePath   = fs.String("compare", "", "baseline JSON to compare against (benchstat-style ratios)")
 		maxRegression = fs.Float64("max-regression", 0, "fail when any same-hardware ns/op or any allocs/op ratio vs the baseline exceeds this factor (0 = report only)")
 		packets       = fs.Int64("packets", 2_000_000, "pipeline benchmark trace length in packets")

@@ -30,8 +30,8 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Schema != schemaV6 {
-		t.Errorf("schema = %q, want %q", rec.Schema, schemaV6)
+	if rec.Schema != schemaV7 {
+		t.Errorf("schema = %q, want %q", rec.Schema, schemaV7)
 	}
 	// v3+ embeds the instrumented suite's snapshot; the deterministic
 	// counters must show the workload actually ran — including the packed
@@ -50,10 +50,8 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 		}
 	}
 	want := []string{
-		"pipeline-reduce-serial", "pipeline-reduce-sharded",
-		"pipeline-w1-s1", "pipeline-w1-s4", "pipeline-w1-s8",
-		"pipeline-w2-s1", "pipeline-w2-s4", "pipeline-w2-s8",
-		"pipeline-w4-s1", "pipeline-w4-s4", "pipeline-w4-s8",
+		"pipeline-reduce-serial",
+		"pipeline-w1-s1", "pipeline-w2-s1", "pipeline-w4-s1",
 		"ptrc-replay-sequential", "ptrc-replay-parallel",
 		"ptrc-record-w1", "ptrc-record-w2", "ptrc-record-w4",
 		"ptrc-replay-sequential-packed", "ptrc-replay-parallel-packed",
@@ -149,10 +147,10 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 			sharedReplayed, indepReplayed)
 	}
 
-	// The matrix point {1,1} is the serial pin measured once: identical
-	// numbers under both names, with the matrix geometry recorded.
-	serial, w1s1 := rec.Results[0], rec.Results[2]
-	if serial.NsPerOp != w1s1.NsPerOp || serial.Workers != 1 || serial.Shards != 1 {
+	// The one-worker matrix point is the serial pin measured once:
+	// identical numbers under both names, with the worker count recorded.
+	serial, w1s1 := rec.Results[0], rec.Results[1]
+	if serial.NsPerOp != w1s1.NsPerOp || serial.Workers != 1 || w1s1.Workers != 1 {
 		t.Errorf("serial pin and w1-s1 should be one measurement: %+v vs %+v", serial, w1s1)
 	}
 
@@ -226,6 +224,27 @@ func TestReadRecordAcceptsV1(t *testing.T) {
 	}
 	if got := entryCPUs(rec.Results[0], rec); got != 4 {
 		t.Fatalf("v1 entry CPUs = %d, want record-level 4", got)
+	}
+}
+
+// TestReadRecordAcceptsV6 pins that a v6 baseline still loads: its
+// retired sharded entries and per-entry shard counts are ignored, and
+// the entries v7 still runs compare by name.
+func TestReadRecordAcceptsV6(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "v6.json")
+	v6 := `{"schema":"palu-bench-v6","go":"go1.0","cpus":2,"benchmarks":[
+		{"name":"pipeline-reduce-sharded","cpus":2,"workers":1,"shards":2,"ns_per_op":100,"allocs_per_op":5,"bytes_per_op":10},
+		{"name":"pipeline-w2-s1","cpus":2,"workers":2,"shards":1,"ns_per_op":80,"allocs_per_op":5,"bytes_per_op":10}]}`
+	if err := os.WriteFile(p, []byte(v6), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := readRecord(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Results) != 2 || rec.Results[1].Name != "pipeline-w2-s1" || rec.Results[1].Workers != 2 {
+		t.Fatalf("v6 record decoded as %+v", rec.Results)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"time"
 
 	"hybridplaw/internal/experiments"
 	"hybridplaw/internal/obs"
@@ -50,7 +51,6 @@ type options struct {
 	seed       uint64
 	parallel   bool
 	shared     bool
-	shards     int
 	recWorkers int
 	cacheDir   string
 	list       bool
@@ -69,7 +69,6 @@ func main() {
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed for the suite-seeded experiments")
 	flag.BoolVar(&o.parallel, "parallel", false, "run independent scenarios concurrently (one worker per CPU)")
 	flag.BoolVar(&o.shared, "shared-replay", true, "decode and reduce each unique traffic window once per run, fanning the windows out to every scenario that declared it (results are byte-identical either way)")
-	flag.IntVar(&o.shards, "shards", 0, "intra-window parallel-reduce width of the streaming pipeline (0 = serial reduce per window; results are identical at any value)")
 	flag.IntVar(&o.recWorkers, "record-workers", 0, "compress workers for window-cache recording (<= 1 = serial writer; archives are byte-identical at any value)")
 	flag.StringVar(&o.cacheDir, "cache-dir", "", "PTRC window cache directory: traffic windows are recorded once and replayed thereafter")
 	flag.BoolVar(&o.list, "list", false, "print the experiment index (the content of EXPERIMENTS.md) and exit")
@@ -125,7 +124,6 @@ func run(o options) error {
 		Workers:        workers,
 		OutDir:         o.out,
 		CacheDir:       o.cacheDir,
-		PipelineShards: o.shards,
 		RecordWorkers:  o.recWorkers,
 		Metrics:        obsReg,
 		NoSharedReplay: !o.shared,
@@ -137,7 +135,9 @@ func run(o options) error {
 		return err
 	}
 
+	start := time.Now()
 	reports, runErr := eng.Run(selection...)
+	wall := time.Since(start)
 	for _, r := range reports {
 		status := "ok"
 		if r.Err != nil {
@@ -151,7 +151,7 @@ func run(o options) error {
 	}
 	// timings.csv: deterministic shape (rows and counters), measured
 	// seconds — excluded from byte-equality diffs between runs.
-	timings := scenario.Timings(reports, eng.CacheStats())
+	timings := scenario.Timings(reports, wall, eng.CacheStats())
 	if err := os.WriteFile(filepath.Join(o.out, "timings.csv"), []byte(timings), 0o644); err != nil {
 		return err
 	}

@@ -90,8 +90,11 @@ func (h *Histogram) Observe(v int64) {
 		return
 	}
 	s := &h.str[stripeHint(h.mask)]
-	s.cnts[h.bucketOf(v)].Add(1)
+	// Count before bucket: any bucket increment a concurrent snapshot
+	// sees then implies its count increment, so a Count read after the
+	// snapshot is never below the snapshot's +Inf bucket.
 	s.count.Add(1)
+	s.cnts[h.bucketOf(v)].Add(1)
 	s.sum.Add(v)
 }
 

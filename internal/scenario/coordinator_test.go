@@ -390,7 +390,7 @@ func TestSharedReplayUnionKeepFlags(t *testing.T) {
 // TestTimingsSuiteRowUnchanged guards the pinned timings.csv shape
 // against the new CacheStats fields.
 func TestTimingsSuiteRowUnchanged(t *testing.T) {
-	out := Timings(nil, CacheStats{Hits: 3, Misses: 1, ReplaysSaved: 2, MaxFanOut: 3})
+	out := Timings(nil, 0, CacheStats{Hits: 3, Misses: 1, ReplaysSaved: 2, MaxFanOut: 3})
 	if !strings.Contains(out, "suite,,0.000,3,1\n") {
 		t.Errorf("suite row changed: %q", out)
 	}

@@ -33,11 +33,6 @@ type Config struct {
 	// streaming pipeline; <= 0 divides GOMAXPROCS by the scenario worker
 	// count so a parallel suite does not oversubscribe the machine.
 	PipelineWorkers int
-	// PipelineShards sets the intra-window parallel-reduce width of each
-	// scenario's inner pipeline (stream.PipelineConfig.Shards); <= 0
-	// leaves the pipeline default (1). Results are identical at any
-	// shard count — this is a throughput knob only.
-	PipelineShards int
 	// NoSharedReplay disables the shared-replay coordinator: every
 	// scenario streams its declared windows through a dedicated pipeline
 	// run, as if no other scenario wanted them. The zero value keeps
@@ -596,9 +591,6 @@ func (c *Context) Stream(req WindowReq, cfg stream.PipelineConfig, sinks ...stre
 		}
 		if cfg.Workers <= 0 {
 			cfg.Workers = c.pipeWorkers
-		}
-		if cfg.Shards <= 0 {
-			cfg.Shards = c.eng.cfg.PipelineShards
 		}
 		if cfg.Metrics == nil {
 			cfg.Metrics = c.eng.m.streamMetrics()

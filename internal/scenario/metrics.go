@@ -10,6 +10,7 @@ package scenario
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"hybridplaw/internal/obs"
 	"hybridplaw/internal/stream"
@@ -186,22 +187,22 @@ func (m *Metrics) traceMetrics() *tracestore.Metrics {
 
 // Timings renders the per-scenario timing table (timings.csv): one row
 // per report in registration order, then a closing suite row with the
-// wall-time sum and the cache counters. The format is deterministic;
-// the seconds column is not (it is measured wall time), which is why
-// the artifact is excluded from byte-equality comparisons between runs.
-func Timings(reports []Report, cs CacheStats) string {
+// run's wall time and the cache counters. The suite row takes the wall
+// time as measured by the caller, not the sum of the reports: under a
+// parallel engine the scenario spans overlap, so their sum overstates
+// the run. The format is deterministic; the seconds column is not (it
+// is measured wall time), which is why the artifact is excluded from
+// byte-equality comparisons between runs.
+func Timings(reports []Report, wall time.Duration, cs CacheStats) string {
 	var b strings.Builder
 	b.WriteString("scenario,status,seconds,cache_hits,cache_misses\n")
-	var total float64
 	for _, r := range reports {
 		status := "ok"
 		if r.Err != nil {
 			status = "failed"
 		}
-		secs := r.Duration.Seconds()
-		total += secs
-		fmt.Fprintf(&b, "%s,%s,%.3f,,\n", r.Scenario.Name, status, secs)
+		fmt.Fprintf(&b, "%s,%s,%.3f,,\n", r.Scenario.Name, status, r.Duration.Seconds())
 	}
-	fmt.Fprintf(&b, "suite,,%.3f,%d,%d\n", total, cs.Hits, cs.Misses)
+	fmt.Fprintf(&b, "suite,,%.3f,%d,%d\n", wall.Seconds(), cs.Hits, cs.Misses)
 	return b.String()
 }

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -96,21 +95,29 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 }
 
 // TestTimingsCSV pins the timings.csv shape: header, one row per report
-// in order, closing suite row carrying totals and cache counters.
+// in order, closing suite row carrying the given wall time and the
+// cache counters. The overlapping case is a parallel run: its scenario
+// spans sum to more than the wall time, and the suite row must report
+// the wall time, not the sum.
 func TestTimingsCSV(t *testing.T) {
 	reports := []Report{
 		{Scenario: Scenario{Name: "a"}, Duration: 1500 * time.Millisecond},
 		{Scenario: Scenario{Name: "b"}, Duration: 250 * time.Millisecond, Err: errors.New("x")},
 	}
-	got := Timings(reports, CacheStats{Hits: 3, Misses: 1})
-	want := "scenario,status,seconds,cache_hits,cache_misses\n" +
+	rows := "scenario,status,seconds,cache_hits,cache_misses\n" +
 		"a,ok,1.500,,\n" +
-		"b,failed,0.250,,\n" +
-		"suite,,1.750,3,1\n"
-	if got != want {
-		t.Errorf("timings mismatch:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	if !strings.HasSuffix(got, "\n") {
-		t.Error("timings must end with a newline")
+		"b,failed,0.250,,\n"
+	for _, tc := range []struct {
+		name  string
+		wall  time.Duration
+		suite string
+	}{
+		{"serial", 1750 * time.Millisecond, "suite,,1.750,3,1\n"},
+		{"overlapping", 1200 * time.Millisecond, "suite,,1.200,3,1\n"},
+	} {
+		got := Timings(reports, tc.wall, CacheStats{Hits: 3, Misses: 1})
+		if want := rows + tc.suite; got != want {
+			t.Errorf("%s: timings mismatch:\ngot:\n%s\nwant:\n%s", tc.name, got, want)
+		}
 	}
 }

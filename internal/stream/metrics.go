@@ -9,10 +9,9 @@ package stream
 // gate (see metrics_overhead_test.go at the repo root).
 //
 // Every instrument is registered eagerly by NewMetrics, so the metric
-// key set of a snapshot is identical across worker/shard configurations
-// and across the serial and parallel engines; only the deterministic
-// quantities (packets, windows) are guaranteed value-equal between
-// configurations.
+// key set of a snapshot is identical across worker counts and across
+// the serial and parallel engines; only the deterministic quantities
+// (packets, windows) are guaranteed value-equal between configurations.
 
 import "hybridplaw/internal/obs"
 
@@ -25,7 +24,7 @@ type Metrics struct {
 	// counts windows delivered to the sinks; TailDiscarded counts valid
 	// packets dropped in the trailing incomplete window. All four are
 	// settled from PipelineStats at end of run, so they are exactly
-	// equal across worker/shard configurations.
+	// equal across worker counts.
 	PacketsValid   *obs.Counter
 	PacketsInvalid *obs.Counter
 	Windows        *obs.Counter
@@ -45,9 +44,9 @@ type Metrics struct {
 	QueueWindows *obs.Gauge
 
 	// IngestTime spans one source block read/decode (DecodeInto or
-	// NextBlock); ReduceTime spans one window's shard replay+merge
-	// (parallel engine only); WindowCloseTime spans reduceWindow;
-	// SinkTime spans one window's in-order sink delivery.
+	// NextBlock); ReduceTime spans one window's key replay into the
+	// worker's builder (parallel engine only); WindowCloseTime spans
+	// reduceWindow; SinkTime spans one window's in-order sink delivery.
 	IngestTime      *obs.Timer
 	ReduceTime      *obs.Timer
 	WindowCloseTime *obs.Timer
@@ -84,7 +83,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		IngestTime: reg.Timer("palu_stream_ingest_ns",
 			"source block read/decode time", 0),
 		ReduceTime: reg.Timer("palu_stream_reduce_ns",
-			"window shard replay and merge time (parallel engine)", 0),
+			"window key replay time (parallel engine)", 0),
 		WindowCloseTime: reg.Timer("palu_stream_window_close_ns",
 			"window close (builder state to WindowResult) time", 0),
 		SinkTime: reg.Timer("palu_stream_sink_ns",

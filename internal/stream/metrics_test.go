@@ -8,21 +8,21 @@ import (
 
 // TestMetricsExactCounters pins the deterministic counters: packets,
 // windows and tail must exactly match PipelineStats for both engines,
-// and stay equal across worker/shard configurations.
+// and stay equal across worker counts.
 func TestMetricsExactCounters(t *testing.T) {
 	ps := mkPackets(7, 5000, 64, 10) // every 10th packet invalid
 	for _, cfg := range []struct {
-		name            string
-		workers, shards int
+		name    string
+		workers int
 	}{
-		{"serial", 1, 1},
-		{"parallel", 2, 1},
-		{"sharded", 2, 4},
+		{"serial", 1},
+		{"parallel", 2},
+		{"parallel4", 4},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			m := NewMetrics(obs.NewRegistry())
 			stats, err := Run(NewSliceSource(ps), PipelineConfig{
-				NV: 1000, Workers: cfg.workers, Shards: cfg.shards, Metrics: m,
+				NV: 1000, Workers: cfg.workers, Metrics: m,
 			}, &ResultCollector{})
 			if err != nil {
 				t.Fatal(err)
@@ -60,15 +60,14 @@ func TestMetricsExactCounters(t *testing.T) {
 
 // TestMetricsKeySetIdenticalAcrossEngines pins the snapshot-equivalence
 // contract: the registered metric names are identical whatever the
-// worker/shard configuration, because NewMetrics registers everything
-// eagerly.
+// worker count, because NewMetrics registers everything eagerly.
 func TestMetricsKeySetIdenticalAcrossEngines(t *testing.T) {
 	ps := mkPackets(3, 2000, 32, 0)
 	var names []string
 	for _, workers := range []int{1, 2} {
 		reg := obs.NewRegistry()
 		_, err := Run(NewSliceSource(ps), PipelineConfig{
-			NV: 500, Workers: workers, Shards: workers, Metrics: NewMetrics(reg),
+			NV: 500, Workers: workers, Metrics: NewMetrics(reg),
 		}, &ResultCollector{})
 		if err != nil {
 			t.Fatal(err)

@@ -91,7 +91,7 @@ func (m *Multicast) ConsumeWindow(res *WindowResult) error {
 // shared window sequence cut it identically by construction. The
 // retention flags are OR-ed (a consumer that asked for matrices or
 // partials gets them; the others simply ignore the extra fields), and
-// the throughput knobs take the widest request: Workers and Shards are
+// the throughput knob takes the widest request: Workers is
 // result-invariant by the pipeline's own contract, so the union changes
 // wall time only, never bytes. Metrics takes the first non-nil bundle.
 func UnionConfigs(cfgs ...PipelineConfig) (PipelineConfig, error) {
@@ -108,7 +108,6 @@ func UnionConfigs(cfgs ...PipelineConfig) (PipelineConfig, error) {
 		u.KeepMatrices = u.KeepMatrices || c.KeepMatrices
 		u.KeepPartials = u.KeepPartials || c.KeepPartials
 		u.Workers = unionWidth(u.Workers, c.Workers)
-		u.Shards = unionWidth(u.Shards, c.Shards)
 		if u.Metrics == nil {
 			u.Metrics = c.Metrics
 		}
@@ -116,7 +115,7 @@ func UnionConfigs(cfgs ...PipelineConfig) (PipelineConfig, error) {
 	return u, nil
 }
 
-// unionWidth merges two worker/shard requests: any non-positive request
+// unionWidth merges two worker requests: any non-positive request
 // means "the widest default", which dominates; otherwise the larger
 // explicit width wins.
 func unionWidth(a, b int) int {

@@ -145,8 +145,8 @@ func TestMulticastMatchesDedicatedRuns(t *testing.T) {
 func TestUnionConfigs(t *testing.T) {
 	sm := NewMetrics(nil)
 	u, err := UnionConfigs(
-		PipelineConfig{NV: 1000, MaxWindows: 2, Workers: 2, Shards: 1, KeepMatrices: true},
-		PipelineConfig{NV: 1000, MaxWindows: 2, Workers: 4, Shards: 8, KeepPartials: true, Metrics: sm},
+		PipelineConfig{NV: 1000, MaxWindows: 2, Workers: 2, KeepMatrices: true},
+		PipelineConfig{NV: 1000, MaxWindows: 2, Workers: 4, KeepPartials: true, Metrics: sm},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -154,8 +154,8 @@ func TestUnionConfigs(t *testing.T) {
 	if !u.KeepMatrices || !u.KeepPartials {
 		t.Errorf("retention flags not OR-ed: %+v", u)
 	}
-	if u.Workers != 4 || u.Shards != 8 {
-		t.Errorf("widths not max-ed: workers=%d shards=%d", u.Workers, u.Shards)
+	if u.Workers != 4 {
+		t.Errorf("width not max-ed: workers=%d", u.Workers)
 	}
 	if u.Metrics != sm {
 		t.Error("first non-nil metrics bundle not kept")

@@ -10,8 +10,8 @@ package stream
 // Since the fused-decode refactor the unit flowing through the pipeline
 // is the packed (src<<32 | dst) link key of a valid packet, not the
 // Packet struct: invalid packets are filtered (and counted) at ingest,
-// and everything downstream — shard routing, the spmat flat tables, the
-// handoff buffers — speaks packed keys. Sources split into three tiers:
+// and everything downstream — the window buffers, the spmat flat tables
+// — speaks packed keys. Sources split into three tiers:
 //
 //   - PacketSource: one interface call per packet; keys are batched on
 //     the stack before entering the reduce so the flat tables can
@@ -23,24 +23,24 @@ package stream
 //     one pass over the uvarint buffer, no []Packet materialization at
 //     all (see tracestore.Reader.DecodeInto).
 //
-// With Workers == 1 and Shards == 1 the pipeline runs fully fused on the
-// calling goroutine: valid packets accumulate straight into one pooled
-// spmat.Builder, windows reduce and feed the sinks inline, and no
-// intermediate buffer of any kind exists between the source and the
-// flat tables. Otherwise the ingest loop routes keys by link-key hash
-// into the shard buffers of a pooled PairWindow and hands each completed
-// window to a fixed worker pool: a worker owns one spmat.Builder per
-// shard for its lifetime, replays the shard buffers concurrently
-// through Builder.AddPairs, merges in fixed shard order, converts the
-// merged state into the five Fig. 1 quantity histograms, resets the
-// builders with their tables still warm, and returns the window to the
-// pool. A consumer goroutine re-orders completed windows and feeds each
-// Sink in strict window order, so every sink observes exactly the
-// sequence a serial pass would produce — byte-identical at any
-// workers × shards combination, because every reduction is an
-// order-independent integer accumulation and shard merges happen in
-// fixed order. At no point are more than workers+1 windows resident in
-// memory, regardless of trace length.
+// One ingest loop per tier (ingest) serves both runners; they differ
+// only in what happens when a window fills. With Workers == 1 the
+// pipeline runs fully fused on the calling goroutine: valid packets
+// accumulate straight into one pooled spmat.Builder, a full window
+// reduces and feeds the sinks inline, and the same direct window keeps
+// filling. No intermediate buffer of any kind exists between the source
+// and the flat tables. Otherwise each window's keys fill one buffer of
+// a pooled PairWindow, and a full window is handed to a fixed worker
+// pool while ingest takes a fresh one. A worker owns one spmat.Builder
+// for its lifetime: it replays the window's keys through
+// Builder.AddPairs, converts the state into the five Fig. 1 quantity
+// histograms, resets the builder with its tables still warm, and returns
+// the window to the pool. A consumer goroutine re-orders completed
+// windows and feeds each Sink in strict window order, so every sink
+// observes exactly the sequence a serial pass would produce —
+// byte-identical at any worker count, because every reduction is an
+// order-independent integer accumulation. At no point are more than
+// workers+1 windows resident in memory, regardless of trace length.
 
 import (
 	"errors"
@@ -240,18 +240,10 @@ type PipelineConfig struct {
 	// NV is the window size in valid packets (required, positive).
 	NV int64
 	// Workers bounds the worker pool; <= 0 selects GOMAXPROCS. Window
-	// residency is bounded by Workers+1. Workers == 1 with Shards <= 1
-	// selects the fully fused serial pipeline: ingest, reduce and sinks
-	// share the calling goroutine and no handoff buffers exist.
+	// residency is bounded by Workers+1. Workers == 1 selects the fully
+	// fused serial pipeline: ingest, reduce and sinks share the calling
+	// goroutine and no handoff buffers exist.
 	Workers int
-	// Shards is the intra-window parallel-reduce width: each window's
-	// packets are partitioned by link-key hash into Shards builders
-	// reduced concurrently, then merged in fixed shard order, so every
-	// sink observes results identical to the serial reduce at any shard
-	// count. <= 0 selects 1 (reduce each window on its worker alone);
-	// values above MaxShards are clamped. Shards multiply Workers: a
-	// run holds up to Workers×Shards reduction goroutines.
-	Shards int
 	// MaxWindows stops the pipeline after that many complete windows;
 	// <= 0 streams until the source is exhausted. With a MaxWindows
 	// bound the source is not consumed past the closing packet of the
@@ -271,22 +263,6 @@ type PipelineConfig struct {
 	// counters settled from the run's stats (see NewMetrics). Nil
 	// strips instrumentation to inert nil-receiver branches.
 	Metrics *Metrics
-}
-
-// MaxShards bounds the intra-window reduce width; beyond this, shard
-// buffers are too small to amortize the per-shard goroutine.
-const MaxShards = 64
-
-// shards returns the normalized intra-window reduce width.
-func (cfg PipelineConfig) shards() int {
-	switch {
-	case cfg.Shards <= 0:
-		return 1
-	case cfg.Shards > MaxShards:
-		return MaxShards
-	default:
-		return cfg.Shards
-	}
 }
 
 // PipelineStats summarizes a pipeline run.
@@ -334,13 +310,12 @@ func Run(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, er
 	if cfg.MaxWindows > 0 && workers > cfg.MaxWindows {
 		workers = cfg.MaxWindows // never more workers than windows to reduce
 	}
-	shards := cfg.shards()
 
 	var err error
-	if workers == 1 && shards == 1 {
+	if workers == 1 {
 		err = runSerial(src, cfg, &stats, sinks)
 	} else {
-		err = runParallel(src, cfg, workers, shards, &stats, sinks)
+		err = runParallel(src, cfg, workers, &stats, sinks)
 	}
 	if c, ok := src.(PacketCounter); ok {
 		stats.SourcePacketsRead = c.PacketsRead()
@@ -352,83 +327,53 @@ func Run(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, er
 	return stats, src.Err()
 }
 
-// runSerial is the fully fused single-worker, single-shard pipeline:
-// ingest, window reduce and sink delivery share the calling goroutine,
-// and valid packets accumulate straight into one pooled builder — no
-// chunk buffers, no channels, no goroutines. For EncodedBlockSource
-// this is the one-pass hot path: compressed PTRC payloads decode
-// directly into the builder's flat tables.
-func runSerial(src PacketSource, cfg PipelineConfig, stats *PipelineStats, sinks []Sink) error {
-	// Instrument handles are pulled once; with cfg.Metrics == nil they
-	// are nil and every Start/Inc below is an inert branch.
-	ingestT := cfg.Metrics.ingestTimer()
-	closeT := cfg.Metrics.windowCloseTimer()
-	sinkT := cfg.Metrics.sinkTimer()
-	bAlloc, bReuse := cfg.Metrics.builderCounters()
-
-	b := spmat.NewBuilder()
-	bAlloc.Inc()
-	w := newDirectWindow(b, cfg.NV)
-	t := 0
-	done := false
-	closeWindow := func() error {
-		csp := closeT.Start()
-		res, err := reduceWindow(t, b, cfg)
-		csp.Stop()
-		if err != nil {
-			return err
-		}
-		ssp := sinkT.Start()
-		for _, s := range sinks {
-			if err := s.ConsumeWindow(res); err != nil {
-				ssp.Stop()
-				return err
-			}
-		}
-		ssp.Stop()
-		stats.Windows++
-		t++
-		b.Reset()
-		bReuse.Inc()
-		w.n = 0
-		if cfg.MaxWindows > 0 && t >= cfg.MaxWindows {
-			done = true
-		}
-		return nil
-	}
+// ingest is the pipeline's one ingest loop per source tier, shared by
+// both runners. It fills w from src and calls full each time w reaches
+// its window size; full returns the window to keep filling (w itself
+// after an inline reduce, or a fresh pooled one after a handoff), or nil
+// to stop ingest. ingest returns the partially filled trailing window,
+// or nil when full stopped it.
+func ingest(src PacketSource, w *PairWindow, m *Metrics, stats *PipelineStats, full func(*PairWindow) *PairWindow) *PairWindow {
+	// With m == nil the timer is nil and every Start below is an inert
+	// branch.
+	ingestT := m.ingestTimer()
 	switch s := src.(type) {
 	case EncodedBlockSource:
-		for !done {
+		// Fused path: the source decodes compressed block runs straight
+		// into the window — one pass, no []Packet materialization.
+		for w != nil {
 			isp := ingestT.Start()
-			valid, invalid, full, ok := s.DecodeInto(w)
+			valid, invalid, filled, ok := s.DecodeInto(w)
 			isp.Stop()
 			stats.ValidPackets += valid
 			stats.InvalidPackets += invalid
-			if full {
-				if err := closeWindow(); err != nil {
-					return err
-				}
+			if filled {
+				w = full(w)
 			}
 			if !ok {
 				break
 			}
 		}
 	case BlockSource:
-		for !done {
+		// Bulk path: whole decoded runs feed the window through
+		// addPackets — filter, pack and batch in one tight loop with no
+		// per-packet interface dispatch.
+	blocks:
+		for w != nil {
 			isp := ingestT.Start()
 			blk, ok := s.NextBlock()
 			isp.Stop()
 			if !ok {
 				break
 			}
-			for len(blk) > 0 && !done {
-				consumed, valid, invalid, full := w.addPackets(blk)
+			for len(blk) > 0 {
+				consumed, valid, invalid, filled := w.addPackets(blk)
 				stats.ValidPackets += valid
 				stats.InvalidPackets += invalid
 				blk = blk[consumed:]
-				if full {
-					if err := closeWindow(); err != nil {
-						return err
+				if filled {
+					if w = full(w); w == nil {
+						break blocks
 					}
 				}
 			}
@@ -436,7 +381,7 @@ func runSerial(src PacketSource, cfg PipelineConfig, stats *PipelineStats, sinks
 	default:
 		var batch [pairBatch]uint64
 		k := 0
-		for !done {
+		for w != nil {
 			p, ok := src.Next()
 			if !ok {
 				break
@@ -448,34 +393,82 @@ func runSerial(src PacketSource, cfg PipelineConfig, stats *PipelineStats, sinks
 			batch[k] = uint64(p.Src)<<32 | uint64(p.Dst)
 			k++
 			stats.ValidPackets++
-			if w.n+int64(k) == cfg.NV {
+			if w.n+int64(k) == w.nv {
 				w.AddPairs(batch[:k])
 				k = 0
-				if err := closeWindow(); err != nil {
-					return err
-				}
+				w = full(w)
 			} else if k == len(batch) {
 				w.AddPairs(batch[:k])
 				k = 0
 			}
 		}
-		if k > 0 {
+		if k > 0 { // k is reset before every full call, so w != nil here
 			w.AddPairs(batch[:k])
 		}
 	}
-	stats.DiscardedTail = w.n
-	return nil
+	return w
+}
+
+// runSerial is the fully fused single-worker pipeline: ingest, window
+// reduce and sink delivery share the calling goroutine, and valid
+// packets accumulate straight into one pooled builder — no key buffers,
+// no channels, no goroutines. For EncodedBlockSource this is the
+// one-pass hot path: compressed PTRC payloads decode directly into the
+// builder's flat tables.
+func runSerial(src PacketSource, cfg PipelineConfig, stats *PipelineStats, sinks []Sink) error {
+	// Instrument handles are pulled once; with cfg.Metrics == nil they
+	// are nil and every Start/Inc below is an inert branch.
+	closeT := cfg.Metrics.windowCloseTimer()
+	sinkT := cfg.Metrics.sinkTimer()
+	bAlloc, bReuse := cfg.Metrics.builderCounters()
+
+	b := spmat.NewBuilder()
+	bAlloc.Inc()
+	t := 0
+	var runErr error
+	// closeWindow reduces the full window inline, feeds the sinks and
+	// hands the emptied window back to ingest.
+	closeWindow := func(w *PairWindow) *PairWindow {
+		csp := closeT.Start()
+		res, err := reduceWindow(t, b, cfg)
+		csp.Stop()
+		if err == nil {
+			ssp := sinkT.Start()
+			for _, s := range sinks {
+				if err = s.ConsumeWindow(res); err != nil {
+					break
+				}
+			}
+			ssp.Stop()
+		}
+		if err != nil {
+			runErr = err
+			return nil
+		}
+		stats.Windows++
+		t++
+		b.Reset()
+		bReuse.Inc()
+		w.Reset()
+		if cfg.MaxWindows > 0 && t >= cfg.MaxWindows {
+			return nil
+		}
+		return w
+	}
+	if tail := ingest(src, newDirectWindow(b, cfg.NV), cfg.Metrics, stats, closeWindow); tail != nil {
+		stats.DiscardedTail = tail.n
+	}
+	return runErr
 }
 
 // runParallel is the worker-pool pipeline: the ingest loop (on the
-// calling goroutine) packs and routes valid packets into the shard
-// buffers of pooled PairWindows, completed windows reduce on a bounded
-// worker pool, and a consumer goroutine re-orders completions so sinks
-// observe strict window order.
-func runParallel(src PacketSource, cfg PipelineConfig, workers, shards int, stats *PipelineStats, sinks []Sink) error {
+// calling goroutine) packs valid packets into pooled PairWindows,
+// completed windows reduce on a bounded worker pool, and a consumer
+// goroutine re-orders completions so sinks observe strict window order.
+func runParallel(src PacketSource, cfg PipelineConfig, workers int, stats *PipelineStats, sinks []Sink) error {
 	type job struct {
-		t     int
-		chunk *PairWindow // exactly NV valid packets, pre-partitioned
+		t      int
+		window *PairWindow // exactly NV valid packets
 	}
 	type outcome struct {
 		t   int
@@ -485,7 +478,6 @@ func runParallel(src PacketSource, cfg PipelineConfig, workers, shards int, stat
 
 	// Instrument handles are pulled once; with cfg.Metrics == nil they
 	// are nil and every Start/Inc/Add below is an inert branch.
-	ingestT := cfg.Metrics.ingestTimer()
 	reduceT := cfg.Metrics.reduceTimer()
 	closeT := cfg.Metrics.windowCloseTimer()
 	sinkT := cfg.Metrics.sinkTimer()
@@ -493,46 +485,39 @@ func runParallel(src PacketSource, cfg PipelineConfig, workers, shards int, stat
 	wAlloc, wReuse := cfg.Metrics.windowPoolCounters()
 	bAlloc, bReuse := cfg.Metrics.builderCounters()
 
-	// The window pool is the memory bound: workers+1 window-sized
-	// pre-partitioned key buffers exist for the lifetime of the run (one
-	// filling, up to workers being reduced).
+	// The window pool is the memory bound: workers+1 window-sized key
+	// buffers exist for the lifetime of the run (one filling, up to
+	// workers being reduced).
 	free := make(chan *PairWindow, workers+1)
 	for i := 0; i < workers+1; i++ {
-		free <- newPairWindow(shards, cfg.NV)
+		free <- NewPairWindow(cfg.NV)
 	}
 	wAlloc.Add(int64(workers + 1))
 	jobs := make(chan job)
 	results := make(chan outcome, workers)
 	stop := make(chan struct{}) // closed once on the first consumer-side error
 
-	// Each worker owns one builder per shard for the whole run; Reset
-	// keeps their table storage warm across windows, killing per-window
-	// allocation churn. Shard builders reduce concurrently and merge in
-	// fixed shard order, so the merged state — and every product derived
-	// from it — is identical to a serial reduce at any shard count.
+	// Each worker owns one builder for the whole run; Reset keeps its
+	// table storage warm across windows, killing per-window allocation
+	// churn.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			builders := make([]*spmat.Builder, shards)
-			for s := range builders {
-				builders[s] = spmat.NewBuilder()
-			}
-			bAlloc.Add(int64(shards))
+			b := spmat.NewBuilder()
+			bAlloc.Inc()
 			for j := range jobs {
 				rsp := reduceT.Start()
-				root := reduceShards(builders, j.chunk)
+				b.AddPairs(j.window.keys)
 				rsp.Stop()
 				csp := closeT.Start()
-				res, err := reduceWindow(j.t, root, cfg)
+				res, err := reduceWindow(j.t, b, cfg)
 				csp.Stop()
-				for _, b := range builders {
-					b.Reset()
-				}
-				bReuse.Add(int64(shards))
-				j.chunk.reset()
-				free <- j.chunk // capacity workers+1: never blocks
+				b.Reset()
+				bReuse.Inc()
+				j.window.Reset()
+				free <- j.window // capacity workers+1: never blocks
 				queueG.Add(-1)
 				results <- outcome{t: j.t, res: res, err: err}
 			}
@@ -582,106 +567,31 @@ func runParallel(src PacketSource, cfg PipelineConfig, workers, shards int, stat
 		}
 	}()
 
-	// Ingest loop, on the caller's goroutine: filter, pack, route, hand
-	// off.
-	chunk := <-free
+	// handoff ships the full window to the worker pool and returns a
+	// fresh buffer, or nil when ingest must stop (consumer-side error or
+	// MaxWindows reached).
 	t := 0
-	// handoff ships the full window to the worker pool and acquires a
-	// fresh buffer; it returns false when ingest must stop (consumer-side
-	// error or MaxWindows reached).
-	handoff := func() bool {
+	handoff := func(w *PairWindow) *PairWindow {
 		select {
-		case jobs <- job{t: t, chunk: chunk}:
+		case jobs <- job{t: t, window: w}:
 			queueG.Add(1)
 		case <-stop:
-			return false
+			return nil
 		}
-		chunk = nil
 		t++
 		if cfg.MaxWindows > 0 && t >= cfg.MaxWindows {
-			return false
+			return nil
 		}
 		select {
-		case chunk = <-free:
+		case w = <-free:
 			wReuse.Inc()
+			return w
 		case <-stop:
-			return false
-		}
-		return true
-	}
-	switch s := src.(type) {
-	case EncodedBlockSource:
-		// Fused path: the source decodes compressed block runs straight
-		// into the shard buffers — one pass, no []Packet materialization.
-	ingestEncoded:
-		for {
-			isp := ingestT.Start()
-			valid, invalid, full, ok := s.DecodeInto(chunk)
-			isp.Stop()
-			stats.ValidPackets += valid
-			stats.InvalidPackets += invalid
-			if full && !handoff() {
-				break ingestEncoded
-			}
-			if !ok {
-				break
-			}
-		}
-	case BlockSource:
-		// Bulk path: whole decoded runs feed the shard buffers through
-		// addPackets — filter, pack, hash and route in one tight loop
-		// with no per-packet interface dispatch.
-	ingestBlocks:
-		for {
-			isp := ingestT.Start()
-			blk, ok := s.NextBlock()
-			isp.Stop()
-			if !ok {
-				break
-			}
-			for len(blk) > 0 {
-				consumed, valid, invalid, full := chunk.addPackets(blk)
-				stats.ValidPackets += valid
-				stats.InvalidPackets += invalid
-				blk = blk[consumed:]
-				if full && !handoff() {
-					break ingestBlocks
-				}
-			}
-		}
-	default:
-		var batch [pairBatch]uint64
-		k := 0
-	ingestPackets:
-		for {
-			p, ok := s.Next()
-			if !ok {
-				break
-			}
-			if !p.Valid {
-				stats.InvalidPackets++
-				continue
-			}
-			batch[k] = uint64(p.Src)<<32 | uint64(p.Dst)
-			k++
-			stats.ValidPackets++
-			if chunk.n+int64(k) == cfg.NV {
-				chunk.AddPairs(batch[:k])
-				k = 0
-				if !handoff() {
-					break ingestPackets
-				}
-			} else if k == len(batch) {
-				chunk.AddPairs(batch[:k])
-				k = 0
-			}
-		}
-		if chunk != nil && k > 0 {
-			chunk.AddPairs(batch[:k])
+			return nil
 		}
 	}
-	if chunk != nil {
-		stats.DiscardedTail = chunk.n
+	if tail := ingest(src, <-free, cfg.Metrics, stats, handoff); tail != nil {
+		stats.DiscardedTail = tail.n
 	}
 	close(jobs)
 	wg.Wait()
@@ -695,44 +605,22 @@ func runParallel(src PacketSource, cfg PipelineConfig, workers, shards int, stat
 // PairWindow is one window's valid packets as packed (src<<32 | dst)
 // link keys: the handoff unit between ingest and the reduce stage, and
 // the deposit target of fused decoders (EncodedBlockSource.DecodeInto).
-// In buffering mode the keys are partitioned by link-key hash into
-// shard buffers; in direct mode (the fully fused serial pipeline) every
-// deposit goes straight into a spmat.Builder and no buffer exists.
+// In buffering mode the keys collect in one buffer; in direct mode (the
+// fully fused serial pipeline) every deposit goes straight into a
+// spmat.Builder and no buffer exists.
 type PairWindow struct {
-	shards [][]uint64     // packed keys per shard (buffering mode)
+	keys   []uint64       // packed keys (buffering mode)
 	direct *spmat.Builder // non-nil: fused serial mode, keys bypass buffering
 	n      int64          // valid packets deposited
 	nv     int64          // window size
 }
 
-// NewPairWindow allocates a buffering window of the given shard width
-// (clamped to [1, MaxShards]) sized for nv valid packets. The pipeline
-// pools its own windows; the exported constructor exists for direct
-// consumers of EncodedBlockSource (tests, custom replay tools).
-func NewPairWindow(shards int, nv int64) *PairWindow {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > MaxShards {
-		shards = MaxShards
-	}
-	return newPairWindow(shards, nv)
-}
-
-// newPairWindow allocates a buffering window of the given shard width
-// sized for nv valid packets.
-func newPairWindow(shards int, nv int64) *PairWindow {
-	w := &PairWindow{shards: make([][]uint64, shards), nv: nv}
-	per := int(nv)
-	if shards > 1 {
-		// Shard loads concentrate around nv/shards; leave headroom so
-		// ordinary imbalance does not re-allocate every window.
-		per = per/shards + per/(4*shards) + 16
-	}
-	for s := range w.shards {
-		w.shards[s] = make([]uint64, 0, per)
-	}
-	return w
+// NewPairWindow allocates a buffering window sized for nv valid packets.
+// The pipeline pools its own windows; the exported constructor also
+// serves direct consumers of EncodedBlockSource (tests, custom replay
+// tools).
+func NewPairWindow(nv int64) *PairWindow {
+	return &PairWindow{keys: make([]uint64, 0, nv), nv: nv}
 }
 
 // newDirectWindow returns a window depositing straight into b.
@@ -748,16 +636,10 @@ func (w *PairWindow) Remaining() int64 { return w.nv - w.n }
 // len(keys) must not exceed Remaining(); the keys slice is not retained.
 func (w *PairWindow) AddPairs(keys []uint64) {
 	w.n += int64(len(keys))
-	switch {
-	case w.direct != nil:
+	if w.direct != nil {
 		w.direct.AddPairs(keys)
-	case len(w.shards) == 1:
-		w.shards[0] = append(w.shards[0], keys...)
-	default:
-		for _, k := range keys {
-			s := shardOfKey(k, len(w.shards))
-			w.shards[s] = append(w.shards[s], k)
-		}
+	} else {
+		w.keys = append(w.keys, keys...)
 	}
 }
 
@@ -795,65 +677,9 @@ func (w *PairWindow) addPackets(blk []Packet) (consumed int, valid, invalid int6
 }
 
 // Reset empties the window for reuse, retaining buffer capacity.
-func (w *PairWindow) Reset() { w.reset() }
-
-// reset empties the window for reuse, retaining buffer capacity.
-func (w *PairWindow) reset() {
-	for s := range w.shards {
-		w.shards[s] = w.shards[s][:0]
-	}
+func (w *PairWindow) Reset() {
+	w.keys = w.keys[:0]
 	w.n = 0
-}
-
-// shardOfKey routes a packed (src, dst) link key to a shard: a
-// splitmix64-finalized hash of the key, range-reduced by modulo over the
-// TOP 16 bits. Every packet of one link lands in one shard, which is
-// what makes the shard builders' link tables disjoint. The top bits
-// matter: spmat's flat tables index by the LOW bits of the same
-// finalizer, so selecting shards from the low bits would leave each
-// shard's keys agreeing in their table-index bits — only 1/S of the
-// slots would start probes, clustering the linear probing on the
-// hottest loop. Disjoint bit ranges keep the within-shard table
-// distribution uniform.
-func shardOfKey(key uint64, shards int) int {
-	h := key
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return int((h >> 48) % uint64(shards))
-}
-
-// reduceShards replays a window's shard buffers into per-shard builders
-// concurrently and merges them in fixed shard order into builders[0],
-// which it returns. Because each (src, dst) link lives in exactly one
-// shard and every reduction product is an order-independent integer
-// accumulation, the merged state is identical to a serial reduce of the
-// whole window at any shard count.
-func reduceShards(builders []*spmat.Builder, c *PairWindow) *spmat.Builder {
-	if len(builders) == 1 {
-		builders[0].AddPairs(c.shards[0])
-		return builders[0]
-	}
-	var wg sync.WaitGroup
-	for s := 1; s < len(builders); s++ {
-		if len(c.shards[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			builders[s].AddPairs(c.shards[s])
-		}(s)
-	}
-	builders[0].AddPairs(c.shards[0])
-	wg.Wait()
-	b := builders[0]
-	for s := 1; s < len(builders); s++ { // fixed shard order
-		b.Merge(builders[s])
-	}
-	return b
 }
 
 // reduceWindow converts a closed window's builder state into a

@@ -264,7 +264,7 @@ func uvarintFast(raw []byte, pos int) (v uint64, next int) {
 
 // decodeBatch is the stack batch size of the fused decoder: pairs are
 // deposited into the window in runs of this size so the flat tables (or
-// shard routing) work on whole batches.
+// the window's key buffer) work on whole batches.
 const decodeBatch = 256
 
 // encWalker is the resumable state of a fused block decode: one pass

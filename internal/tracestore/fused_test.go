@@ -2,7 +2,7 @@ package tracestore
 
 // The fused-replay property pin: the one-pass DecodeInto path (ISSUE 6)
 // must be byte-identical to the pre-fusion decode→AddBlock→reduce path
-// at every workers × shards combination, for both readers, including
+// at every worker count, for both readers, including
 // the KeepPartials/PartialSink products. The unfused reference is
 // obtained by wrapping a reader so the pipeline cannot see its
 // EncodedBlockSource implementation and falls back to the block path.
@@ -34,7 +34,7 @@ func (u unfusedSource) PacketsRead() int64                 { return u.src.Packet
 // renderResults serializes window results into the byte form a sink
 // artifact would carry: aggregates plus every histogram's full
 // (degree, count) support, in order. Byte equality is the acceptance
-// bar for "sinks byte-identical at every workers × shards".
+// bar for "sinks byte-identical at every worker count".
 func renderResults(wins []*stream.WindowResult) []byte {
 	var b bytes.Buffer
 	for _, w := range wins {
@@ -54,9 +54,9 @@ func renderResults(wins []*stream.WindowResult) []byte {
 	return b.Bytes()
 }
 
-// TestFusedReplayEquivalence pins the fused decode→shard path against
-// the unfused decode→AddBlock→reduce path across {1,2,4} workers ×
-// {1,2,8} shards for both readers. Every configuration must yield
+// TestFusedReplayEquivalence pins the fused decode→window path against
+// the unfused decode→AddBlock→reduce path across {1,2,4} workers for
+// both readers. Every configuration must yield
 // byte-identical window artifacts, identical pipeline stats, and (via
 // PartialSink) identical canonical partials.
 func TestFusedReplayEquivalence(t *testing.T) {
@@ -73,21 +73,20 @@ func TestFusedReplayEquivalence(t *testing.T) {
 		rendered []byte
 		partials []stream.WindowResult
 	}
-	run := func(src stream.PacketSource, workers, shards int) capture {
+	run := func(src stream.PacketSource, workers int) capture {
 		t.Helper()
 		var col stream.ResultCollector
 		sink := &stream.PartialSink{}
 		cfg := stream.PipelineConfig{
-			NV: nv, Workers: workers, Shards: shards,
-			KeepMatrices: true, KeepPartials: true,
+			NV: nv, Workers: workers, KeepMatrices: true, KeepPartials: true,
 		}
 		stats, err := stream.Run(src, cfg, &col, sink)
 		if err != nil {
-			t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if len(sink.Partials) != len(col.Results) {
-			t.Fatalf("workers=%d shards=%d: %d partials, %d windows",
-				workers, shards, len(sink.Partials), len(col.Results))
+			t.Fatalf("workers=%d: %d partials, %d windows",
+				workers, len(sink.Partials), len(col.Results))
 		}
 		c := capture{stats: stats, rendered: renderResults(col.Results)}
 		for i, p := range sink.Partials {
@@ -124,31 +123,27 @@ func TestFusedReplayEquivalence(t *testing.T) {
 		return r
 	}
 
-	ref := run(newSeqUnfused(), 1, 1)
+	ref := run(newSeqUnfused(), 1)
 	if ref.stats.Windows == 0 {
 		t.Fatal("reference run produced no windows")
 	}
 	for _, workers := range []int{1, 2, 4} {
-		for _, shards := range []int{1, 2, 8} {
-			for name, mk := range map[string]func() stream.PacketSource{
-				"seq-fused":   newSeq,
-				"seq-unfused": newSeqUnfused,
-				"par-fused":   newPar,
-			} {
-				got := run(mk(), workers, shards)
-				if got.stats != ref.stats {
-					t.Errorf("%s workers=%d shards=%d: stats %+v, want %+v",
-						name, workers, shards, got.stats, ref.stats)
-				}
-				if !bytes.Equal(got.rendered, ref.rendered) {
-					t.Errorf("%s workers=%d shards=%d: window artifacts diverge from unfused serial reference",
-						name, workers, shards)
-				}
-				for i := range ref.partials {
-					if !reflect.DeepEqual(ref.partials[i].Partial.Entries(), got.partials[i].Partial.Entries()) {
-						t.Fatalf("%s workers=%d shards=%d window %d: partial entries diverge",
-							name, workers, shards, i)
-					}
+		for name, mk := range map[string]func() stream.PacketSource{
+			"seq-fused":   newSeq,
+			"seq-unfused": newSeqUnfused,
+			"par-fused":   newPar,
+		} {
+			got := run(mk(), workers)
+			if got.stats != ref.stats {
+				t.Errorf("%s workers=%d: stats %+v, want %+v", name, workers, got.stats, ref.stats)
+			}
+			if !bytes.Equal(got.rendered, ref.rendered) {
+				t.Errorf("%s workers=%d: window artifacts diverge from unfused serial reference",
+					name, workers)
+			}
+			for i := range ref.partials {
+				if !reflect.DeepEqual(ref.partials[i].Partial.Entries(), got.partials[i].Partial.Entries()) {
+					t.Fatalf("%s workers=%d window %d: partial entries diverge", name, workers, i)
 				}
 			}
 		}
@@ -175,7 +170,7 @@ func TestDecodeIntoDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	const nv = 777 // deliberately misaligned with the block size
-	w := stream.NewPairWindow(4, nv)
+	w := stream.NewPairWindow(nv)
 	var valid, invalid int64
 	windows := 0
 	for {

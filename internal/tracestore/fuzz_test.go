@@ -86,7 +86,7 @@ func FuzzReader(f *testing.F) {
 		// uphold the same no-panic/no-unbounded-allocation invariant and
 		// classify errors identically.
 		if r, err := NewReader(bytes.NewReader(data)); err == nil {
-			w := stream.NewPairWindow(2, 1<<12)
+			w := stream.NewPairWindow(1 << 12)
 			var n int64
 			for {
 				valid, invalid, full, ok := r.DecodeInto(w)
@@ -372,7 +372,7 @@ func FuzzPackedCodec(f *testing.F) {
 		if err := pw.init(raw, n); err != nil {
 			t.Fatalf("n=%d: walker init failed on payload decodeBlockPacked accepted: %v", n, err)
 		}
-		sink := stream.NewPairWindow(1, int64(len(want))+1)
+		sink := stream.NewPairWindow(int64(len(want)) + 1)
 		valid, invalid, err := pw.decodeInto(sink)
 		if err != nil {
 			t.Fatalf("n=%d: walker failed on payload decodeBlockPacked accepted: %v", n, err)

@@ -214,9 +214,8 @@ func TestMiniblockProperty(t *testing.T) {
 // TestMixedCodecReplayEquivalence is the codec counterpart of
 // TestFusedReplayEquivalence: the packed and mixed-codec archives must
 // produce byte-identical window artifacts and identical stats to the
-// DEFLATE archive of the same trace, across {1,2,4} workers × {1,2,8}
-// shards, for the sequential fused, sequential unfused and parallel
-// fused paths.
+// DEFLATE archive of the same trace, across {1,2,4} workers, for the
+// sequential fused, sequential unfused and parallel fused paths.
 func TestMixedCodecReplayEquivalence(t *testing.T) {
 	const (
 		n     = 60000
@@ -230,13 +229,12 @@ func TestMixedCodecReplayEquivalence(t *testing.T) {
 		"mixed":   writeMixedArchive(t, ps, block),
 	}
 
-	run := func(src stream.PacketSource, workers, shards int) (stream.PipelineStats, []byte) {
+	run := func(src stream.PacketSource, workers int) (stream.PipelineStats, []byte) {
 		t.Helper()
 		var col stream.ResultCollector
-		cfg := stream.PipelineConfig{NV: nv, Workers: workers, Shards: shards}
-		stats, err := stream.Run(src, cfg, &col)
+		stats, err := stream.Run(src, stream.PipelineConfig{NV: nv, Workers: workers}, &col)
 		if err != nil {
-			t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		return stats, renderResults(col.Results)
 	}
@@ -245,48 +243,46 @@ func TestMixedCodecReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refStats, refRendered := run(refReader, 1, 1)
+	refStats, refRendered := run(refReader, 1)
 	if refStats.Windows == 0 {
 		t.Fatal("reference run produced no windows")
 	}
 
 	for name, data := range archives {
 		for _, workers := range []int{1, 2, 4} {
-			for _, shards := range []int{1, 2, 8} {
-				sources := map[string]func() stream.PacketSource{
-					"seq-fused": func() stream.PacketSource {
-						r, err := NewReader(bytes.NewReader(data))
-						if err != nil {
-							t.Fatal(err)
-						}
-						return r
-					},
-					"seq-unfused": func() stream.PacketSource {
-						r, err := NewReader(bytes.NewReader(data))
-						if err != nil {
-							t.Fatal(err)
-						}
-						return unfusedSource{src: r}
-					},
-					"par-fused": func() stream.PacketSource {
-						r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
-							ParallelOptions{Workers: 2})
-						if err != nil {
-							t.Fatal(err)
-						}
-						return r
-					},
+			sources := map[string]func() stream.PacketSource{
+				"seq-fused": func() stream.PacketSource {
+					r, err := NewReader(bytes.NewReader(data))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return r
+				},
+				"seq-unfused": func() stream.PacketSource {
+					r, err := NewReader(bytes.NewReader(data))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return unfusedSource{src: r}
+				},
+				"par-fused": func() stream.PacketSource {
+					r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
+						ParallelOptions{Workers: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return r
+				},
+			}
+			for path, mk := range sources {
+				stats, rendered := run(mk(), workers)
+				if stats != refStats {
+					t.Errorf("%s/%s workers=%d: stats %+v, want %+v",
+						name, path, workers, stats, refStats)
 				}
-				for path, mk := range sources {
-					stats, rendered := run(mk(), workers, shards)
-					if stats != refStats {
-						t.Errorf("%s/%s workers=%d shards=%d: stats %+v, want %+v",
-							name, path, workers, shards, stats, refStats)
-					}
-					if !bytes.Equal(rendered, refRendered) {
-						t.Errorf("%s/%s workers=%d shards=%d: window artifacts diverge from deflate serial reference",
-							name, path, workers, shards)
-					}
+				if !bytes.Equal(rendered, refRendered) {
+					t.Errorf("%s/%s workers=%d: window artifacts diverge from deflate serial reference",
+						name, path, workers)
 				}
 			}
 		}
@@ -508,7 +504,7 @@ func TestMetricsPacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetMetrics(m)
-	w := stream.NewPairWindow(2, 1<<20)
+	w := stream.NewPairWindow(1 << 20)
 	for {
 		if _, _, _, ok := r.DecodeInto(w); !ok {
 			break
