@@ -4,7 +4,7 @@
 // codec), PTRC recording and transcoding (write-side codec ×
 // writer-workers matrix plus the index-driven passthrough), and model
 // fitting — and writes a machine-readable JSON record.
-// BENCH_PR12.json at the repo root is the committed perf trajectory; CI
+// BENCH_PR13.json at the repo root is the committed perf trajectory; CI
 // re-runs the suite and compares against it benchstat-style. The suite
 // runs instrumented (internal/obs) and v3+ records embed the resulting
 // metrics snapshot, so every committed record also documents the
@@ -26,8 +26,8 @@
 //
 // Usage:
 //
-//	palu-bench -out BENCH_PR12.json                   # run + record
-//	palu-bench -out /tmp/b.json -compare BENCH_PR12.json -max-regression 5
+//	palu-bench -out BENCH_PR13.json                   # run + record
+//	palu-bench -out /tmp/b.json -compare BENCH_PR13.json -max-regression 5
 //	palu-bench -packets 500000 -replay-packets 200000 # smaller workloads
 //	palu-bench -metrics - -cpuprofile cpu.pb.gz       # snapshot + profile
 //
@@ -548,7 +548,7 @@ func readRecord(path string) (Record, error) {
 func run(args []string, logger *log.Logger) error {
 	fs := flag.NewFlagSet("palu-bench", flag.ContinueOnError)
 	var (
-		out           = fs.String("out", "BENCH_PR12.json", "output JSON path")
+		out           = fs.String("out", "BENCH_PR13.json", "output JSON path")
 		comparePath   = fs.String("compare", "", "baseline JSON to compare against (benchstat-style ratios)")
 		maxRegression = fs.Float64("max-regression", 0, "fail when any same-hardware ns/op or any allocs/op ratio vs the baseline exceeds this factor (0 = report only)")
 		packets       = fs.Int64("packets", 2_000_000, "pipeline benchmark trace length in packets")

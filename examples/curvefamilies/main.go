@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"hybridplaw"
+	"hybridplaw/internal/palu"
 	"hybridplaw/internal/plotio"
 )
 
@@ -33,18 +34,18 @@ func main() {
 		}
 		series := []plotio.Series{plotio.PooledSeries("ZM", zmD, 'z')}
 		// Render the extreme family members; intermediate r interpolate.
-		for _, r := range []float64{panel.rs[0], panel.rs[len(panel.rs)-1]} {
-			c := hybridplaw.PALUCurve{Alpha: panel.alpha, Delta: panel.delta, R: r}
-			pd, err := c.PooledD(dmax)
-			if err != nil {
-				log.Fatal(err)
-			}
+		rs := []float64{panel.rs[0], panel.rs[len(panel.rs)-1]}
+		family, err := palu.PooledFamily(panel.alpha, panel.delta, rs, dmax)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i, pd := range family {
 			marker := '.'
-			if r == panel.rs[len(panel.rs)-1] {
+			if i == len(rs)-1 {
 				marker = '+'
 			}
 			series = append(series, plotio.PooledSeries(
-				fmt.Sprintf("PALU r=%g", r), pd, marker))
+				fmt.Sprintf("PALU r=%g", rs[i]), pd, marker))
 		}
 		chart, err := plotio.LogLogPlot(series, 72, 16)
 		if err != nil {

@@ -12,6 +12,7 @@ package hist
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 
 	"hybridplaw/internal/stats"
@@ -236,16 +237,7 @@ func BinIndex(d int) int {
 	if d <= 1 {
 		return 0
 	}
-	return bitsLen(uint(d - 1))
-}
-
-func bitsLen(x uint) int {
-	n := 0
-	for x > 0 {
-		x >>= 1
-		n++
-	}
-	return n
+	return bits.Len(uint(d - 1))
 }
 
 // Pool converts the histogram to the pooled differential cumulative

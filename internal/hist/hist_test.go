@@ -29,6 +29,41 @@ func TestBinEdges(t *testing.T) {
 	}
 }
 
+// legacyBitsLen is the shift loop BinIndex used before math/bits.Len.
+func legacyBitsLen(x uint) int {
+	n := 0
+	for x > 0 {
+		x >>= 1
+		n++
+	}
+	return n
+}
+
+func legacyBinIndex(d int) int {
+	if d <= 1 {
+		return 0
+	}
+	return legacyBitsLen(uint(d - 1))
+}
+
+func TestBinIndexMatchesShiftLoop(t *testing.T) {
+	check := func(d int) {
+		if got, want := BinIndex(d), legacyBinIndex(d); got != want {
+			t.Fatalf("BinIndex(%d) = %d, shift loop gives %d", d, got, want)
+		}
+	}
+	for d := 1; d <= 1<<21; d++ {
+		check(d)
+	}
+	check(0)
+	check(-1)
+	for k := 1; k < 62; k++ {
+		check(1<<k - 1)
+		check(1 << k)
+		check(1<<k + 1)
+	}
+}
+
 func TestBinPartitionProperty(t *testing.T) {
 	// Every degree belongs to exactly one bin and bin edges are consistent.
 	prop := func(raw uint32) bool {

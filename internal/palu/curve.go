@@ -50,42 +50,123 @@ func (c Curve) Eval(d int) float64 {
 
 // PMF returns the normalized PALU(d) probabilities for d = 1..dmax.
 func (c Curve) PMF(dmax int) ([]float64, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.check(dmax); err != nil {
 		return nil, err
 	}
-	if dmax < 1 {
-		return nil, errors.New("palu: dmax must be >= 1")
+	pw := powTable(c.Alpha, dmax)
+	head, z, err := c.density(pw, nil)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, dmax)
-	var z float64
-	for d := 1; d <= dmax; d++ {
-		v := c.Eval(d)
-		if v < 0 || math.IsNaN(v) {
-			return nil, fmt.Errorf("palu: PALU(%d) = %v not a density (delta %v gives negative star weight)", d, v, c.Delta)
-		}
-		out[d-1] = v
-		z += v
+	copy(pw, head)
+	for i := range pw {
+		pw[i] /= z
 	}
-	for i := range out {
-		out[i] /= z
-	}
-	return out, nil
+	return pw, nil
 }
 
 // PooledD returns the binary-log pooled differential cumulative
 // probabilities of the normalized curve over 1..dmax, the quantity plotted
 // in Fig. 4.
 func (c Curve) PooledD(dmax int) ([]float64, error) {
-	pmf, err := c.PMF(dmax)
-	if err != nil {
+	if err := c.check(dmax); err != nil {
 		return nil, err
 	}
-	nbins := hist.BinIndex(dmax) + 1
-	out := make([]float64, nbins)
-	for d := 1; d <= dmax; d++ {
-		out[hist.BinIndex(d)] += pmf[d-1]
+	out, _, err := c.pooled(powTable(c.Alpha, dmax), nil)
+	return out, err
+}
+
+// PooledFamily returns Curve{alpha, delta, r}.PooledD(dmax) for every r in
+// rs — one Fig. 4 panel — bit for bit, evaluating the d^{−α} table the
+// curves share once instead of once per r. An error names the r it came
+// from.
+func PooledFamily(alpha, delta float64, rs []float64, dmax int) ([][]float64, error) {
+	var pw, buf []float64
+	out := make([][]float64, len(rs))
+	for i, r := range rs {
+		c := Curve{Alpha: alpha, Delta: delta, R: r}
+		if err := c.check(dmax); err != nil {
+			return nil, fmt.Errorf("r=%v: %w", r, err)
+		}
+		if pw == nil {
+			pw = powTable(alpha, dmax)
+		}
+		var err error
+		if out[i], buf, err = c.pooled(pw, buf); err != nil {
+			return nil, fmt.Errorf("r=%v: %w", r, err)
+		}
 	}
 	return out, nil
+}
+
+func (c Curve) check(dmax int) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if dmax < 1 {
+		return errors.New("palu: dmax must be >= 1")
+	}
+	return nil
+}
+
+// powTable returns pw[d−1] = d^{−α} for d = 1..dmax.
+func powTable(alpha float64, dmax int) []float64 {
+	pw := make([]float64, dmax)
+	for i := range pw {
+		pw[i] = math.Pow(float64(i+1), -alpha)
+	}
+	return pw
+}
+
+// density evaluates the unnormalized PALU(d) = d^{−α} + r^{1−d}·u/c of
+// Eval for d = 1..len(pw), given pw[d−1] = d^{−α}, and returns the sum z
+// taken in ascending d. Only the head of the curve is stored (in buf's
+// backing array): once the geometric term r^{1−d} has underflowed to 0 it
+// stays 0 for every larger d, and x + 0·u == x exactly for finite u, so
+// from there on PALU(d) is pw[d−1] itself, bit for bit.
+//
+// The cut is exact because math.Pow raises to an integer power by
+// repeated squaring with the binary exponent carried apart, so its
+// relative error (a few dozen ulps) is far below the factor r by which
+// r^{1−d} shrinks per step whenever r^{1−d} can underflow at all below an
+// allocatable dmax; TestGeometricTermStaysZero checks the premise.
+func (c Curve) density(pw, buf []float64) (head []float64, z float64, err error) {
+	u := c.UOverC()
+	head = buf[:0]
+	for d := 1; d <= len(pw); d++ {
+		g := math.Pow(c.R, float64(1-d))
+		if g == 0 && !math.IsInf(u, 0) {
+			for _, v := range pw[d-1:] {
+				z += v
+			}
+			break
+		}
+		v := pw[d-1] + g*u
+		if v < 0 || math.IsNaN(v) {
+			return nil, 0, fmt.Errorf("palu: PALU(%d) = %v not a density (delta %v gives negative star weight)", d, v, c.Delta)
+		}
+		head = append(head, v)
+		z += v
+	}
+	return head, z, nil
+}
+
+// pooled pools the normalized curve over the degrees of pw into binary-log
+// bins, adding each PALU(d)/z in ascending d. It also returns the head
+// buffer so a caller can reuse it for the next curve.
+func (c Curve) pooled(pw, buf []float64) (out, head []float64, err error) {
+	head, z, err := c.density(pw, buf)
+	if err != nil {
+		return nil, buf, err
+	}
+	out = make([]float64, hist.BinIndex(len(pw))+1)
+	for i, v := range head {
+		out[hist.BinIndex(i+1)] += v / z
+	}
+	for d := len(head) + 1; d <= len(pw); d++ {
+		out[hist.BinIndex(d)] += pw[d-1] / z
+	}
+	return out, head, nil
 }
 
 // DeltaFromObservation inverts the Section VI parameter bridge

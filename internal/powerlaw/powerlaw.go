@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"hybridplaw/internal/boot"
 	"hybridplaw/internal/hist"
@@ -36,27 +37,54 @@ type Fit struct {
 	NTail int64
 }
 
+// tail is the view of a histogram that every CSN cutoff candidate
+// shares: the support in ascending order and the count at each point.
+type tail struct {
+	support []int
+	counts  []int64
+}
+
+func newTail(h *hist.Histogram) tail {
+	support := h.Support()
+	counts := make([]int64, len(support))
+	for i, d := range support {
+		counts[i] = h.Count(d)
+	}
+	return tail{support: support, counts: counts}
+}
+
 // logLikelihood returns the discrete power-law log likelihood per the CSN
-// formula: -n·ln ζ(α, xmin) − α Σ ln d_i, expressed with histogram counts.
-func logLikelihood(h *hist.Histogram, xmin int, alpha float64) float64 {
+// formula: -n·ln ζ(α, xmin) − α Σ ln d_i, from the tail's count n and
+// Σ c·ln d, which do not depend on α.
+func logLikelihood(xmin int, n int64, sumLog, alpha float64) float64 {
 	z, err := specialfn.HurwitzZeta(alpha, float64(xmin))
 	if err != nil {
 		return math.Inf(-1)
 	}
+	return -float64(n)*math.Log(z) - alpha*sumLog
+}
+
+// fit computes the MLE exponent for cutoff xmin, whose tail starts at
+// support[k], by golden-section maximization of the likelihood over
+// α ∈ (1.01, 6). The tail statistics are summed once, in ascending d,
+// and shared by every step of the search. The KS field is left 0.
+func (t tail) fit(k, xmin int) (Fit, error) {
 	var n int64
 	var sumLog float64
-	for _, d := range h.Support() {
-		if d < xmin {
-			continue
-		}
-		c := h.Count(d)
+	for i, d := range t.support[k:] {
+		c := t.counts[k+i]
 		n += c
 		sumLog += float64(c) * math.Log(float64(d))
 	}
-	if n == 0 {
-		return math.Inf(-1)
+	if n < 2 {
+		return Fit{}, fmt.Errorf("powerlaw: only %d observations above xmin=%d", n, xmin)
 	}
-	return -float64(n)*math.Log(z) - alpha*sumLog
+	neg := func(alpha float64) float64 { return -logLikelihood(xmin, n, sumLog, alpha) }
+	alpha, err := stats.GoldenSection(neg, 1.01, 6, 1e-8)
+	if err != nil {
+		return Fit{}, err
+	}
+	return Fit{Alpha: alpha, Xmin: xmin, NTail: n}, nil
 }
 
 // FitAtXmin computes the MLE exponent for a fixed cutoff xmin by golden-
@@ -68,21 +96,11 @@ func FitAtXmin(h *hist.Histogram, xmin int) (Fit, error) {
 	if xmin < 1 {
 		return Fit{}, errors.New("powerlaw: xmin must be >= 1")
 	}
-	var nTail int64
-	for _, d := range h.Support() {
-		if d >= xmin {
-			nTail += h.Count(d)
-		}
-	}
-	if nTail < 2 {
-		return Fit{}, fmt.Errorf("powerlaw: only %d observations above xmin=%d", nTail, xmin)
-	}
-	neg := func(alpha float64) float64 { return -logLikelihood(h, xmin, alpha) }
-	alpha, err := stats.GoldenSection(neg, 1.01, 6, 1e-8)
+	t := newTail(h)
+	fit, err := t.fit(sort.SearchInts(t.support, xmin), xmin)
 	if err != nil {
 		return Fit{}, err
 	}
-	fit := Fit{Alpha: alpha, Xmin: xmin, NTail: nTail}
 	fit.KS, err = ksDistance(h, fit)
 	if err != nil {
 		return Fit{}, err
@@ -131,29 +149,102 @@ func ksDistance(h *hist.Histogram, f Fit) (float64, error) {
 	return maxDiff, nil
 }
 
+const (
+	// screenJump is the shortest run of integers whose model mass ksScreen
+	// takes as one Hurwitz zeta difference instead of term by term.
+	screenJump = 64
+	// screenEps bounds |ksScreen − ksDistance|; FitScan rescores exactly
+	// every candidate whose screened KS is within 2·screenEps of the least.
+	screenEps = 1e-9
+)
+
+// ksScreen returns ksDistance(h, f) up to rounding, for f.Xmin =
+// support[k], walking support points instead of every integer up to the
+// largest degree. The observed CDF is accumulated exactly as ksDistance
+// does; the model CDF adds each run of integers between support points
+// term by term when it is short and as ζ(α, a) − ζ(α, b+1) when it spans
+// screenJump or more. It fails exactly when ksDistance does: both need
+// ζ(α, xmin).
+func (t tail) ksScreen(k int, f Fit) (float64, error) {
+	z, err := specialfn.HurwitzZeta(f.Alpha, float64(f.Xmin))
+	if err != nil {
+		return 0, err
+	}
+	var total float64
+	for _, c := range t.counts[k:] {
+		total += float64(c)
+	}
+	var cum, modelCum, maxDiff float64
+	next := f.Xmin // first integer whose mass is not yet in modelCum
+	for i, d := range t.support[k:] {
+		if d-next+1 >= screenJump {
+			// ζ(α, q) fails only for α <= 1 or q <= 0, which the
+			// call for z has ruled out.
+			lo, _ := specialfn.HurwitzZeta(f.Alpha, float64(next))
+			hi, _ := specialfn.HurwitzZeta(f.Alpha, float64(d+1))
+			modelCum += (lo - hi) / z
+		} else {
+			for j := next; j <= d; j++ {
+				modelCum += math.Pow(float64(j), -f.Alpha) / z
+			}
+		}
+		next = d + 1
+		cum += float64(t.counts[k+i]) / total
+		if diff := math.Abs(cum - modelCum); diff > maxDiff {
+			maxDiff = diff
+		}
+	}
+	return maxDiff, nil
+}
+
 // FitScan selects xmin by scanning candidate cutoffs and choosing the one
 // minimizing the KS distance (the CSN procedure). maxXmin caps the scan
 // (0 means up to the 90th percentile of the support).
+//
+// Every candidate is scored with ksScreen; only those within 2·screenEps
+// of the least screened score are rescored with ksDistance, and the
+// first strictly smallest exact KS wins. While the screen's error stays
+// below screenEps no other candidate can hold the minimum, so the result
+// is the full ksDistance scan's, bit for bit.
 func FitScan(h *hist.Histogram, maxXmin int) (Fit, error) {
 	if h == nil || h.Total() == 0 {
 		return Fit{}, errors.New("powerlaw: empty histogram")
 	}
-	support := h.Support()
+	t := newTail(h)
 	if maxXmin <= 0 {
-		maxXmin = support[int(0.9*float64(len(support)-1))]
+		maxXmin = t.support[int(0.9*float64(len(t.support)-1))]
 		if maxXmin < 1 {
 			maxXmin = 1
 		}
 	}
-	best := Fit{KS: math.Inf(1)}
-	found := false
-	for _, xmin := range support {
+	var cands []Fit
+	least := math.Inf(1)
+	for k, xmin := range t.support {
 		if xmin > maxXmin {
 			break
 		}
-		f, err := FitAtXmin(h, xmin)
+		f, err := t.fit(k, xmin)
 		if err != nil {
 			continue // tails can become too thin; skip
+		}
+		// The screened KS stands in until the exact rescoring below.
+		if f.KS, err = t.ksScreen(k, f); err != nil {
+			continue
+		}
+		cands = append(cands, f)
+		if f.KS < least {
+			least = f.KS
+		}
+	}
+	best := Fit{KS: math.Inf(1)}
+	found := false
+	for _, f := range cands {
+		if f.KS > least+2*screenEps {
+			continue
+		}
+		var err error
+		if f.KS, err = ksDistance(h, f); err != nil {
+			continue
 		}
 		if f.KS < best.KS {
 			best = f
