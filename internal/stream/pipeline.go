@@ -35,8 +35,9 @@ package stream
 // for its lifetime: it replays the window's keys through
 // Builder.AddPairs, converts the state into the five Fig. 1 quantity
 // histograms, resets the builder with its tables still warm, and returns
-// the window to the pool. A consumer goroutine re-orders completed
-// windows and feeds each Sink in strict window order, so every sink
+// the window to the pool. Each handed-off window carries a one-result
+// slot, queued in window order; a sink goroutine waits on the slots in
+// turn and feeds each Sink in strict window order, so every sink
 // observes exactly the sequence a serial pass would produce —
 // byte-identical at any worker count, because every reduction is an
 // order-independent integer accumulation. At no point are more than
@@ -462,18 +463,20 @@ func runSerial(src PacketSource, cfg PipelineConfig, stats *PipelineStats, sinks
 }
 
 // runParallel is the worker-pool pipeline: the ingest loop (on the
-// calling goroutine) packs valid packets into pooled PairWindows,
-// completed windows reduce on a bounded worker pool, and a consumer
-// goroutine re-orders completions so sinks observe strict window order.
+// calling goroutine) packs valid packets into pooled PairWindows, and
+// each completed window goes to a bounded worker pool with a one-result
+// slot. The slots queue in window order, and one sink goroutine waits
+// on each in turn, so sinks observe strict window order while they
+// overlap ingest and reduction.
 func runParallel(src PacketSource, cfg PipelineConfig, workers int, stats *PipelineStats, sinks []Sink) error {
+	type outcome struct {
+		res *WindowResult
+		err error
+	}
 	type job struct {
 		t      int
 		window *PairWindow // exactly NV valid packets
-	}
-	type outcome struct {
-		t   int
-		res *WindowResult
-		err error
+		slot   chan outcome
 	}
 
 	// Instrument handles are pulled once; with cfg.Metrics == nil they
@@ -494,8 +497,10 @@ func runParallel(src PacketSource, cfg PipelineConfig, workers int, stats *Pipel
 	}
 	wAlloc.Add(int64(workers + 1))
 	jobs := make(chan job)
-	results := make(chan outcome, workers)
-	stop := make(chan struct{}) // closed once on the first consumer-side error
+	// Results reduced but not yet sunk: one per window in the pool, so a
+	// slow sink stalls ingest only once every window is waiting on it.
+	inflight := make(chan chan outcome, workers+1)
+	stop := make(chan struct{}) // closed once on the first sink-side error
 
 	// Each worker owns one builder for the whole run; Reset keeps its
 	// table storage warm across windows, killing per-window allocation
@@ -519,65 +524,52 @@ func runParallel(src PacketSource, cfg PipelineConfig, workers int, stats *Pipel
 				j.window.Reset()
 				free <- j.window // capacity workers+1: never blocks
 				queueG.Add(-1)
-				results <- outcome{t: j.t, res: res, err: err}
+				j.slot <- outcome{res: res, err: err} // capacity 1: never blocks
 			}
 		}()
 	}
 
-	// The consumer re-orders worker completions into window order and
-	// feeds the sinks sequentially, so sinks observe windows exactly as
-	// a serial pass would. At most `workers` results are pending.
-	var consumeErr error
+	// The sink goroutine takes results in window order and feeds the
+	// sinks sequentially, so sinks observe windows exactly as a serial
+	// pass would.
+	var sinkErr error
 	delivered := 0
-	consumerDone := make(chan struct{})
+	sinkDone := make(chan struct{})
 	go func() {
-		defer close(consumerDone)
-		pending := make(map[int]*WindowResult, workers)
-		next := 0
-		for r := range results {
-			if consumeErr != nil {
-				continue // drain so workers never block
-			}
-			if r.err != nil {
-				consumeErr = r.err
-				close(stop)
-				continue
-			}
-			pending[r.t] = r.res
-			for consumeErr == nil {
-				res, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next++
+		defer close(sinkDone)
+		for slot := range inflight {
+			r := <-slot
+			sinkErr = r.err
+			if sinkErr == nil {
 				ssp := sinkT.Start()
 				for _, s := range sinks {
-					if err := s.ConsumeWindow(res); err != nil {
-						consumeErr = err
-						close(stop)
+					if sinkErr = s.ConsumeWindow(r.res); sinkErr != nil {
 						break
 					}
 				}
 				ssp.Stop()
-				if consumeErr == nil {
-					delivered++
-				}
 			}
+			if sinkErr != nil {
+				close(stop)
+				return
+			}
+			delivered++
 		}
 	}()
 
 	// handoff ships the full window to the worker pool and returns a
-	// fresh buffer, or nil when ingest must stop (consumer-side error or
+	// fresh buffer, or nil when ingest must stop (sink-side error or
 	// MaxWindows reached).
 	t := 0
 	handoff := func(w *PairWindow) *PairWindow {
+		slot := make(chan outcome, 1)
 		select {
-		case jobs <- job{t: t, window: w}:
-			queueG.Add(1)
+		case inflight <- slot:
 		case <-stop:
 			return nil
 		}
+		jobs <- job{t: t, window: w, slot: slot}
+		queueG.Add(1)
 		t++
 		if cfg.MaxWindows > 0 && t >= cfg.MaxWindows {
 			return nil
@@ -594,12 +586,12 @@ func runParallel(src PacketSource, cfg PipelineConfig, workers int, stats *Pipel
 		stats.DiscardedTail = tail.n
 	}
 	close(jobs)
+	close(inflight)
+	<-sinkDone
 	wg.Wait()
-	close(results)
-	<-consumerDone
 
-	stats.Windows = delivered // reading after consumerDone: no race
-	return consumeErr
+	stats.Windows = delivered // reading after sinkDone: no race
+	return sinkErr
 }
 
 // PairWindow is one window's valid packets as packed (src<<32 | dst)

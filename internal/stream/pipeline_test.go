@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/zipfmand"
@@ -191,12 +193,16 @@ func TestPipelineRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestPipelineSinkErrorCancels pins the worker pipeline's early exit:
+// a sink error stops ingest, surfaces from Run, and leaves no worker or
+// sink goroutine behind.
 func TestPipelineSinkErrorCancels(t *testing.T) {
 	ps := mkPackets(6, 50000, 64, 0)
 	src := NewSliceSource(ps)
 	boom := errors.New("boom")
 	windows := 0
-	_, err := Run(src, PipelineConfig{NV: 100}, FuncSink(func(res *WindowResult) error {
+	before := runtime.NumGoroutine()
+	_, err := Run(src, PipelineConfig{NV: 100, Workers: 4}, FuncSink(func(res *WindowResult) error {
 		windows++
 		if windows == 3 {
 			return boom
@@ -208,6 +214,15 @@ func TestPipelineSinkErrorCancels(t *testing.T) {
 	}
 	if src.i == len(ps) {
 		t.Error("sink error did not stop ingestion early")
+	}
+	// Run waits for its goroutines, but they park asynchronously after
+	// signalling, so the count is polled back to the baseline.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines leaked: %d before, %d after", before, n)
 	}
 }
 

@@ -61,8 +61,8 @@ type Metrics struct {
 	CompressQueueDepth  *obs.Gauge
 	CompressWorkersBusy *obs.Gauge
 
-	// CommitStallTime spans the ordered-commit stage's waits for the
-	// next-in-order block while later blocks are already parked.
+	// CommitStallTime spans the ingest side's waits for the oldest
+	// in-flight record to finish encoding before it can be committed.
 	CommitStallTime *obs.Timer
 
 	// PassthroughBlocks counts blocks re-framed verbatim by the

@@ -12,10 +12,6 @@ import (
 type ParallelOptions struct {
 	// Workers is the decode pool size; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Prefetch bounds how many decoded blocks may wait, in order, ahead
-	// of the consumer; <= 0 selects 2 (double buffering: one block being
-	// consumed, one ready).
-	Prefetch int
 	// Metrics, when non-nil, instruments every worker's block decoder
 	// (blocks read, inflate time, bytes, CRC failures, buffer reuse).
 	// It must be set at construction: workers start inside
@@ -27,26 +23,33 @@ type ParallelOptions struct {
 // decompression fanned out to a worker pool, so the expensive DEFLATE
 // work overlaps the pipeline's ingest and window reduction. It requires
 // a seekable archive (io.ReaderAt plus its size): the trailing index
-// supplies every block's offset, workers fetch and inflate blocks
-// independently into pooled raw buffers, and a coordinator re-orders
-// completed blocks so the consumer observes the exact archived sequence.
+// supplies every block's offset, and workers fetch and inflate blocks
+// independently into pooled raw buffers.
+//
+// Order comes from per-block result slots. Each dispatched block
+// carries a one-result slot, and the slots queue in block order in a
+// FIFO of Workers+2 entries; the consumer waits on the head slot, then
+// reuses it to dispatch the next block. Blocks are therefore delivered
+// in archive order by construction, and at most Workers+2 blocks are
+// in flight regardless of archive length.
+//
 // The cheap final stage — uvarint decode — runs on the consumer's
 // goroutine, either into one persistent packet buffer (Next/NextBlock)
 // or fused straight into the window under construction (DecodeInto), so
-// steady-state replay allocates nothing per block. Memory is
-// O(Workers + Prefetch) blocks regardless of archive length.
+// steady-state replay allocates nothing per block.
 //
 // ParallelReader implements stream.PacketSource, stream.BlockSource and
-// stream.EncodedBlockSource. Callers that abandon the source early
-// (pipeline MaxWindows bounds, errors) should Close it to release the
-// worker pool; draining it to exhaustion also releases.
+// stream.EncodedBlockSource. It is not safe for concurrent use. Callers
+// that abandon the source early (pipeline MaxWindows bounds, errors)
+// should Close it to release the worker pool; draining it to exhaustion
+// also releases.
 type ParallelReader struct {
-	idx     *archiveIndex
-	ordered chan parallelBlock
-	rawPool chan []byte
-	stop    chan struct{}
-	once    sync.Once
-	wg      sync.WaitGroup
+	idx      *archiveIndex
+	jobs     chan readJob
+	inflight chan chan parallelBlock // result slots in block order
+	sent     int                     // blocks dispatched so far
+	rawPool  chan []byte
+	wg       sync.WaitGroup
 
 	buf  []stream.Packet
 	i    int
@@ -55,6 +58,12 @@ type ParallelReader struct {
 	read int64
 	err  error
 	done bool
+}
+
+// readJob asks a worker to fetch block i and deliver it into slot.
+type readJob struct {
+	i    int
+	slot chan parallelBlock
 }
 
 // parallelBlock is one staged block in flight from the worker pool to
@@ -79,74 +88,32 @@ func NewParallelReader(r io.ReaderAt, size int64, opts ParallelOptions) (*Parall
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(idx.blocks) && len(idx.blocks) > 0 {
+	if workers > len(idx.blocks) {
 		workers = len(idx.blocks)
 	}
-	prefetch := opts.Prefetch
-	if prefetch <= 0 {
-		prefetch = 2
-	}
+	// Two slots beyond the worker count keep decoded blocks ready for
+	// the consumer while every worker decodes.
+	depth := workers + 2
 	p := &ParallelReader{
-		idx:     idx,
-		ordered: make(chan parallelBlock, prefetch),
-		rawPool: make(chan []byte, workers+prefetch+1),
-		stop:    make(chan struct{}),
+		idx:      idx,
+		jobs:     make(chan readJob, depth), // one per in-flight block: sends never block
+		inflight: make(chan chan parallelBlock, depth),
+		rawPool:  make(chan []byte, depth+1), // the in-flight blocks plus the consumer's
 	}
-	if len(idx.blocks) == 0 {
-		close(p.ordered)
-		return p, nil
-	}
-
-	type outcome struct {
-		i     int
-		block parallelBlock
-	}
-	jobs := make(chan int)
-	results := make(chan outcome, workers)
-	// credits bounds the decoded-but-not-yet-consumed blocks: the feeder
-	// spends one per dispatched block, the coordinator refunds one per
-	// block handed to the consumer. Without it, a single stalled worker
-	// would let the others race ahead and the coordinator's reorder
-	// buffer would grow toward the whole archive.
-	credits := make(chan struct{}, workers+prefetch)
-	for i := 0; i < workers+prefetch; i++ {
-		credits <- struct{}{}
-	}
-
-	// Feeder: block indices in file order, paced by consumer progress.
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer close(jobs)
-		for i := range idx.blocks {
-			select {
-			case <-credits:
-			case <-p.stop:
-				return
-			}
-			select {
-			case jobs <- i:
-			case <-p.stop:
-				return
-			}
-		}
-	}()
 
 	// Workers: fetch + CRC-check + decompress one block at a time, each
 	// with its own decoder state and ReadAt (safe for concurrent use by
-	// contract). Raw output buffers come from the shared pool, so a
-	// steady-state replay recycles the same workers+prefetch+1 buffers
-	// instead of allocating per block.
-	var workerWG sync.WaitGroup
+	// contract). A slot holds one result and gets a new job only after
+	// the consumer has taken it, so a worker's send never blocks.
+	jobs := p.jobs // Close clears the field; workers keep the channel
 	for w := 0; w < workers; w++ {
-		workerWG.Add(1)
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			defer workerWG.Done()
 			dec := blockDecoder{m: opts.Metrics}
 			var rec []byte
-			for i := range jobs {
+			for j := range jobs {
+				i := j.i
 				bl := idx.blocks[i]
 				n := 1 + blockHeaderLen + bl.compLen
 				if cap(rec) < n {
@@ -166,50 +133,26 @@ func NewParallelReader(r io.ReaderAt, size int64, opts ParallelOptions) (*Parall
 					out.raw, out.err = dec.decompress(bl.codec, h, rec[1+blockHeaderLen:], p.takeRaw())
 					out.packets = h.packets
 				}
-				select {
-				case results <- outcome{i: i, block: out}:
-				case <-p.stop:
-					return
-				}
+				j.slot <- out
 			}
 		}()
 	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		workerWG.Wait()
-		close(results)
-	}()
-
-	// Coordinator: restore strict block order before the consumer.
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer close(p.ordered)
-		pending := make(map[int]parallelBlock, workers)
-		next := 0
-		for r := range results {
-			pending[r.i] = r.block
-			for {
-				b, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next++
-				select {
-				case p.ordered <- b:
-				case <-p.stop:
-					return
-				}
-				if b.err != nil {
-					return // error ends the stream; stop draining in order
-				}
-				credits <- struct{}{} // cap workers+prefetch: never blocks
-			}
-		}
-	}()
+	for i := 0; i < depth; i++ {
+		p.dispatch(make(chan parallelBlock, 1))
+	}
 	return p, nil
+}
+
+// dispatch sends the next undispatched block, if any, to the worker
+// pool with slot as its result slot, and queues the slot behind those
+// already in flight.
+func (p *ParallelReader) dispatch(slot chan parallelBlock) {
+	if p.sent == len(p.idx.blocks) {
+		return
+	}
+	p.jobs <- readJob{i: p.sent, slot: slot}
+	p.inflight <- slot
+	p.sent++
 }
 
 // takeRaw recycles a raw payload buffer from the pool if one is
@@ -234,21 +177,24 @@ func (p *ParallelReader) putRaw(b []byte) {
 	}
 }
 
-// nextOrdered pulls the next decompressed block in archive order; false
-// means end of stream (finish run), error, or Close.
+// nextOrdered takes the next decompressed block in archive order and
+// dispatches the block after the last one in flight; false means end
+// of stream (finish run), error, or Close.
 func (p *ParallelReader) nextOrdered() (parallelBlock, bool) {
-	b, ok := <-p.ordered
-	if !ok {
+	if len(p.inflight) == 0 {
 		p.done = true
 		p.finish()
 		return parallelBlock{}, false
 	}
+	slot := <-p.inflight
+	b := <-slot
 	if b.err != nil {
 		p.done = true
 		p.err = b.err
 		p.Close()
 		return parallelBlock{}, false
 	}
+	p.dispatch(slot)
 	return b, true
 }
 
@@ -384,12 +330,15 @@ func (p *ParallelReader) Info() ArchiveInfo {
 	return info
 }
 
-// Close stops the decode pool and waits for its goroutines to exit. It
-// is idempotent and safe after exhaustion; Next returns no packets after
-// Close.
+// Close stops the decode pool: workers finish the blocks already
+// dispatched, and Close returns once they have exited. It is idempotent
+// and safe after exhaustion; Next returns no packets after Close.
 func (p *ParallelReader) Close() error {
-	p.once.Do(func() { close(p.stop) })
-	p.wg.Wait()
+	if p.jobs != nil {
+		close(p.jobs)
+		p.jobs = nil
+		p.wg.Wait()
+	}
 	p.done = true
 	return nil
 }

@@ -32,8 +32,14 @@ func TestParallelEarlyClose(t *testing.T) {
 			t.Error("Next returned a packet after Close")
 		}
 	}
-	// Goroutines park asynchronously after Close returns from wg.Wait —
-	// the count must come back to the baseline promptly.
+	expectGoroutinesSettle(t, before)
+}
+
+// expectGoroutinesSettle fails t unless the goroutine count comes back
+// to before promptly. Goroutines park asynchronously after the call
+// that waited for them returns, so the count is polled.
+func expectGoroutinesSettle(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -41,6 +47,47 @@ func TestParallelEarlyClose(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("goroutines leaked: %d before, %d after", before, n)
 	}
+}
+
+// TestParallelCorruptMiddleBlock replays an archive whose middle block
+// fails its CRC: every earlier packet arrives in order, the error wraps
+// ErrCorrupt, and the blocks already dispatched behind the bad one are
+// reaped without leaking a goroutine.
+func TestParallelCorruptMiddleBlock(t *testing.T) {
+	const blockSize, blocks = 256, 40
+	ps := synthPackets(23, blockSize*blocks, 2000, 0)
+	data := writeArchive(t, ps, WriterOptions{BlockSize: blockSize})
+	idx, err := readIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = blocks / 2
+	data[idx.offsets[bad]+1+blockHeaderLen+3] ^= 0xFF // payload byte: CRC mismatch
+
+	before := runtime.NumGoroutine()
+	r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
+		ParallelOptions{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		p, ok := r.Next()
+		if !ok {
+			if i != bad*blockSize {
+				t.Errorf("stream stopped after %d packets, want %d", i, bad*blockSize)
+			}
+			break
+		}
+		if p != ps[i] {
+			t.Fatalf("packet %d = %+v, want %+v", i, p, ps[i])
+		}
+	}
+	expectCorrupt(t, "corrupt middle block", r.Err())
+	if r.sent <= bad+1 {
+		t.Errorf("only %d blocks dispatched: none in flight behind block %d", r.sent, bad)
+	}
+	r.Close()
+	expectGoroutinesSettle(t, before)
 }
 
 // TestParallelThroughPipelineMaxWindows checks the pipeline can abandon
@@ -87,7 +134,7 @@ func TestParallelManyBlocksOrder(t *testing.T) {
 	}
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 64})
 	r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
-		ParallelOptions{Workers: 8, Prefetch: 1})
+		ParallelOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,276 +8,157 @@ import (
 )
 
 // Pipelined PTRC writer (DESIGN.md §13) — the write-side mirror of
-// ParallelReader. The ingest goroutine (the caller of Writer.Write)
-// seals packets into block-sized batches, latching the writer's codec
-// into each batch as it seals; a pool of compress workers encodes
-// batches into complete block records in pooled buffers; a single
-// committer goroutine restores block order by sequence number, writes
-// each record to the archive, and appends its index entry. Because the
-// workers run the same blockEncoder as the serial writer and the
-// committer writes in strict seq order, the archive bytes are identical
-// to the serial writer's for every codec mix.
+// ParallelReader, built on the same per-block result slots. The ingest
+// goroutine (the caller of Writer.Write) seals packets into
+// block-sized batches, latching the writer's codec into each batch as
+// it seals, and queues the batch's slot in a FIFO of Workers+2 slots; a
+// pool of compress workers encodes batches into complete block records
+// in the slots' own buffers. When the FIFO is full, ingest commits the
+// head record itself — waits for its slot, writes the record and
+// appends its index entry — and reuses that slot for the new batch;
+// Close commits the rest. Because the workers run the same blockEncoder
+// as the serial writer and records are written in FIFO order, the
+// archive bytes are identical to the serial writer's for every codec
+// mix.
 //
-// Passthrough records (WriteEncodedBlock) skip the worker stage
-// entirely: the ingest side frames them into a separate buffer pool
-// and sends them straight to the committer, which reorders by sequence
-// number either way. Routing them through the jobs channel instead
-// would deadlock — a burst of passthrough submissions could park every
-// record buffer inside queued jobs while each worker waits to lease
-// one before accepting any job.
-//
-// Flow control is by buffer ownership, not counters; each pool holds a
-// fixed population:
-//   - a batch buffer is held by ingest (filling), the jobs channel, or
-//     an encoding worker, and is recycled the moment its encode ends;
-//   - an encode record buffer is held by a worker (leased *before* it
-//     takes a job, so every accepted job can finish), a result in
-//     flight, or the committer's pending map, and is recycled at
-//     commit;
-//   - a passthrough record buffer is held by a result in flight or
-//     pending, and is likewise recycled at commit.
-//
-// Every channel's capacity covers the buffer population that can
-// occupy it, so no send in the pipeline ever blocks; the only blocking
-// points are the pool leases and the committer's ordered wait. Encode
-// jobs are consumed from one FIFO channel by all workers, so when the
-// next-in-order encode job is still unclaimed, no later encode result
-// can exist to pin the pool — some buffer-holding worker always
-// reaches it, and passthrough results pin only their own pool, whose
-// drain needs no worker.
+// Passthrough records (WriteEncodedBlock) are framed by ingest straight
+// into their slot, which enters the FIFO already filled.
 type writePipeline struct {
 	out  io.Writer
 	opts WriterOptions
 
-	jobs    chan writeJob
-	results chan writeResult
-	batches chan []stream.Packet // batch buffer pool
-	recs    chan []byte          // encode record buffer pool
-	pres    chan []byte          // passthrough record buffer pool
-	seq     int                  // next batch sequence number (ingest-side)
+	jobs     chan *writeSlot // batches to encode
+	inflight chan *writeSlot // records in archive order, at most Workers+2
+	wg       sync.WaitGroup  // compress workers
 
-	wg   sync.WaitGroup // compress workers
-	done chan struct{}  // closed when the committer exits
-
-	// failed is closed by the committer on the first commit error, after
-	// err is set; the ingest side observes it to stop accepting writes.
-	// The committer keeps draining and recycling after a failure so the
-	// workers and ingest never block against a dead stage.
-	failed    chan struct{}
-	err       error
-	failedYet bool // committer-local
-
+	err    error       // first commit error; later records are dropped
 	blocks []blockInfo // committed index entries, in block order
 }
 
-// writeJob is one sealed batch travelling ingest → worker: packets to
-// encode under the latched codec.
-type writeJob struct {
-	seq     int
-	packets []stream.Packet // recycled by the worker after encoding
+// writeSlot is one record's place in the archive order, with the
+// buffers it reuses each time it is recycled. A worker fills rec, info
+// and err, then signals done; ingest reads them only after receiving
+// from done.
+type writeSlot struct {
+	done    chan struct{}   // one signal per fill
+	packets []stream.Packet // batch to encode; swapped with ingest's buffer
 	codec   Codec
-}
-
-// writeResult is one complete record travelling to the committer —
-// from a worker (encode) or directly from ingest (passthrough). Its
-// rec buffer is recycled into the pool named by pre after the ordered
-// write.
-type writeResult struct {
-	seq  int
-	rec  []byte
-	info blockInfo
-	pre  bool // rec belongs to the passthrough pool
-	err  error
+	rec     []byte
+	info    blockInfo
+	err     error
 }
 
 func newWritePipeline(out io.Writer, opts WriterOptions) *writePipeline {
-	workers := opts.Workers
-	// Two buffers beyond the worker count: one filling at ingest while
-	// all workers encode, and one of commit-side slack so an in-order
-	// write overlaps the next encode.
-	poolSize := workers + 2
+	// Two slots beyond the worker count: one record committing while
+	// every worker encodes and one batch queued for the next free worker.
+	depth := opts.Workers + 2
 	p := &writePipeline{
-		out:  out,
-		opts: opts,
-		jobs: make(chan writeJob, poolSize),
-		// Results may come from both record pools at once.
-		results: make(chan writeResult, 2*poolSize),
-		batches: make(chan []stream.Packet, poolSize),
-		recs:    make(chan []byte, poolSize),
-		pres:    make(chan []byte, poolSize),
-		done:    make(chan struct{}),
-		failed:  make(chan struct{}),
+		out:      out,
+		opts:     opts,
+		jobs:     make(chan *writeSlot, depth), // one per in-flight slot: sends never block
+		inflight: make(chan *writeSlot, depth),
 	}
-	for i := 0; i < poolSize; i++ {
-		p.batches <- make([]stream.Packet, 0, opts.BlockSize)
-		p.recs <- nil // record buffers grow on first use
-		p.pres <- nil
-	}
-	for i := 0; i < workers; i++ {
+	for i := 0; i < opts.Workers; i++ {
 		p.wg.Add(1)
 		go p.worker()
 	}
-	go p.committer()
 	return p
 }
 
-// leaseBatch hands the ingest side its first batch buffer.
-func (p *writePipeline) leaseBatch() []stream.Packet { return <-p.batches }
-
-// checkFailed reports the pipeline error once the committer has
-// published it.
-func (p *writePipeline) checkFailed() error {
-	select {
-	case <-p.failed:
-		return p.err
-	default:
-		return nil
+// slot returns a free slot for the next record: a new one while fewer
+// than depth records are in flight, otherwise the head, once committed.
+// It reports the pipeline's first commit error.
+func (p *writePipeline) slot() (*writeSlot, error) {
+	if len(p.inflight) < cap(p.inflight) {
+		return &writeSlot{
+			done:    make(chan struct{}, 1),
+			packets: make([]stream.Packet, 0, p.opts.BlockSize),
+		}, nil
 	}
+	s := <-p.inflight
+	p.commit(s)
+	return s, p.err
 }
 
-// submitBatch seals the writer's buffered packets as the next batch in
-// sequence — latching the current codec — and leases a fresh buffer for
-// the ingest side. Called on the ingest goroutine only.
+// submitBatch seals the writer's buffered packets as the next record —
+// latching the current codec — and hands the ingest side the slot's
+// spare batch buffer. Called on the ingest goroutine only.
 func (p *writePipeline) submitBatch(w *Writer) error {
-	if err := p.checkFailed(); err != nil {
+	s, err := p.slot()
+	if err != nil {
 		w.err = err
 		return err
 	}
-	p.jobs <- writeJob{seq: p.seq, packets: w.buf, codec: w.codec}
-	p.seq++
+	s.packets, w.buf = w.buf, s.packets[:0]
+	s.codec = w.codec
+	p.inflight <- s
+	p.jobs <- s
 	p.opts.Metrics.queueDepth(1)
-	select {
-	case buf := <-p.batches:
-		w.buf = buf[:0]
-	case <-p.failed:
-		w.err = p.err
-		return p.err
-	}
 	return nil
 }
 
-// submitPre frames an already-encoded block (WriteEncodedBlock) into a
-// leased passthrough buffer and sends it straight to the committer as
-// the next record in sequence, bypassing the encode stage. Called on
-// the ingest goroutine only.
+// submitPre frames an already-encoded block (WriteEncodedBlock) into
+// the next slot and queues it already filled, bypassing the encode
+// stage. Called on the ingest goroutine only.
 func (p *writePipeline) submitPre(w *Writer, b EncodedBlock, info blockInfo) error {
-	if err := p.checkFailed(); err != nil {
+	s, err := p.slot()
+	if err != nil {
 		w.err = err
 		return err
 	}
-	var rec []byte
-	select {
-	case rec = <-p.pres:
-	case <-p.failed:
-		w.err = p.err
-		return p.err
-	}
-	p.results <- writeResult{seq: p.seq, rec: encodedRecord(rec, b), info: info, pre: true}
-	p.seq++
+	s.rec, s.info, s.err = encodedRecord(s.rec, b), info, nil
+	s.done <- struct{}{}
+	p.inflight <- s
 	p.opts.Metrics.queueDepth(1)
 	return nil
 }
 
-// worker encodes batches into complete block records. It leases its
-// output record buffer *before* taking a job: a worker that held a job
-// while waiting for a buffer could deadlock the committer (every free
-// buffer parked in the pending map, none ever committable because the
-// next-in-order block is the one stuck in that worker's hands).
+// worker encodes batches into complete block records.
 func (p *writePipeline) worker() {
 	defer p.wg.Done()
 	enc := blockEncoder{level: p.opts.Level, m: p.opts.Metrics}
-	var rec []byte
-	holding := false
-	for {
-		if !holding {
-			rec = <-p.recs
-			holding = true
-		}
-		j, ok := <-p.jobs
-		if !ok {
-			p.recs <- rec
-			return
-		}
+	for s := range p.jobs {
 		p.opts.Metrics.workerBusy(1)
-		out, info, err := enc.encodeRecord(rec[:0], j.packets, j.codec)
+		s.rec, s.info, s.err = enc.encodeRecord(s.rec[:0], s.packets, s.codec)
 		p.opts.Metrics.workerBusy(-1)
-		p.batches <- j.packets[:0]
-		p.results <- writeResult{seq: j.seq, rec: out, info: info, err: err}
-		holding = false
+		s.done <- struct{}{}
 	}
 }
 
-// committer restores block order and writes records to the archive. It
-// owns p.blocks, p.err and p.failedYet until done closes.
-func (p *writePipeline) committer() {
-	defer close(p.done)
-	pending := make(map[int]writeResult, cap(p.results))
-	next := 0
-	for {
-		var r writeResult
-		var ok bool
-		if len(pending) > 0 {
-			// Later blocks are parked waiting on the next-in-order one:
-			// this receive is the ordered-commit stall.
-			sp := p.opts.Metrics.commitStallStart()
-			r, ok = <-p.results
-			sp.Stop()
-		} else {
-			r, ok = <-p.results
-		}
-		if !ok {
-			return
-		}
-		pending[r.seq] = r
-		for {
-			res, found := pending[next]
-			if !found {
-				break
-			}
-			delete(pending, next)
-			next++
-			p.commit(res)
-		}
-	}
-}
-
-// commit writes one in-order record (unless the pipeline has already
-// failed), then recycles its buffer and releases its queue slot either
-// way, so the upstream stages never block on a dead commit stage.
-func (p *writePipeline) commit(res writeResult) {
-	if !p.failedYet {
-		if res.err != nil {
-			p.fail(res.err)
-		} else if _, err := p.out.Write(res.rec); err != nil {
-			p.fail(err)
-		} else {
-			p.opts.Metrics.blockWritten(res.info.codec, res.info.rawLen, res.info.compLen)
-			p.blocks = append(p.blocks, res.info)
-		}
+// commit waits for the head slot's record and writes it, unless the
+// pipeline has already failed. The wait, when the record is not ready,
+// is the ordered-commit stall.
+func (p *writePipeline) commit(s *writeSlot) {
+	select {
+	case <-s.done:
+	default:
+		sp := p.opts.Metrics.commitStallStart()
+		<-s.done
+		sp.Stop()
 	}
 	p.opts.Metrics.queueDepth(-1)
-	if res.pre {
-		p.pres <- res.rec[:0]
+	if p.err != nil {
+		return
+	}
+	if s.err != nil {
+		p.err = s.err
+	} else if _, err := p.out.Write(s.rec); err != nil {
+		p.err = err
 	} else {
-		p.recs <- res.rec[:0]
+		p.opts.Metrics.blockWritten(s.info.codec, s.info.rawLen, s.info.compLen)
+		p.blocks = append(p.blocks, s.info)
 	}
 }
 
-// fail publishes the first pipeline error: err is set before failed
-// closes, so any goroutine that observes the close sees the error.
-func (p *writePipeline) fail(err error) {
-	p.err = err
-	p.failedYet = true
-	close(p.failed)
-}
-
-// shutdown drains the pipeline — no more submissions may follow — and
-// returns the committed index entries in block order plus the first
-// error, if any. Called on the ingest goroutine, exactly once.
+// shutdown commits every record still in flight — no more submissions
+// may follow — stops the workers, and returns the committed index
+// entries in block order plus the first error, if any. Called on the
+// ingest goroutine, exactly once.
 func (p *writePipeline) shutdown() ([]blockInfo, error) {
 	close(p.jobs)
+	for len(p.inflight) > 0 {
+		p.commit(<-p.inflight)
+	}
 	p.wg.Wait()
-	close(p.results)
-	<-p.done
-	return p.blocks, p.checkFailed()
+	return p.blocks, p.err
 }

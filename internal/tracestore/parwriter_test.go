@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"hybridplaw/internal/obs"
@@ -333,9 +334,11 @@ func (w *failAfterWriter) Write(p []byte) (int, error) {
 
 // TestParallelWriterCommitError pins the failure path: a sink error
 // surfaces from Write or Close, Close is safe to call (and required, to
-// reap the pipeline), and repeated Closes return the same error.
+// reap the pipeline, leaving no goroutine behind), and repeated Closes
+// return the same error.
 func TestParallelWriterCommitError(t *testing.T) {
 	ps := synthPackets(3, 20000, 300, 6)
+	before := runtime.NumGoroutine()
 	w, err := NewWriter(&failAfterWriter{budget: 4096}, WriterOptions{BlockSize: 256, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -359,6 +362,7 @@ func TestParallelWriterCommitError(t *testing.T) {
 	if werr = w.Write(ps[0]); werr == nil {
 		t.Fatal("Write after failed Close must error")
 	}
+	expectGoroutinesSettle(t, before)
 }
 
 // buildTranscodeFixture archives n synthetic packets once per benchmark

@@ -207,6 +207,7 @@ func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 		opts:  opts,
 		codec: opts.Codec,
 		enc:   blockEncoder{level: opts.Level, m: opts.Metrics},
+		buf:   make([]stream.Packet, 0, opts.BlockSize),
 	}
 	if _, err := io.WriteString(w, fileMagic); err != nil {
 		tw.err = err
@@ -214,9 +215,6 @@ func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 	}
 	if opts.Workers > 1 {
 		tw.pipe = newWritePipeline(w, opts)
-		tw.buf = tw.pipe.leaseBatch()
-	} else {
-		tw.buf = make([]stream.Packet, 0, opts.BlockSize)
 	}
 	return tw, nil
 }
