@@ -22,7 +22,17 @@
 // records drop the intra-window sharding entries (the sharded pin, the
 // -s4/-s8 matrix points and the per-entry shard count) along with the
 // pipeline option they measured; the remaining matrix points keep their
-// -s1 names so the trajectory across records stays continuous.
+// -s1 names so the trajectory across records stays continuous. v8
+// records add the dict codec (the writer default) to the replay and
+// record matrices, as -dict entries.
+//
+// Every run also applies a codec gate that needs no baseline: within
+// the run, on the same trace, each dict record entry must be faster
+// than its DEFLATE counterpart and each dict replay entry no slower.
+// Both sides are measured in one process on one machine, so the gate
+// holds its meaning at any CPU count. It judges only entries whose
+// DEFLATE side takes codecGateMinNs or more: at a few milliseconds per
+// op, one sample mostly measures allocation and scheduling noise.
 //
 // Usage:
 //
@@ -48,6 +58,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"hybridplaw/internal/model"
@@ -104,7 +115,8 @@ const (
 	schemaV4 = "palu-bench-v4" // pre-write-path records: replay/fit only
 	schemaV5 = "palu-bench-v5" // pre-engine-suite records: no shared-replay pair
 	schemaV6 = "palu-bench-v6" // pre-v7 records: intra-window sharding entries
-	schemaV7 = "palu-bench-v7"
+	schemaV7 = "palu-bench-v7" // pre-dict records: no -dict entries
+	schemaV8 = "palu-bench-v8"
 )
 
 // matrixWorkers is the pipeline benchmark grid. The one-worker point
@@ -199,7 +211,7 @@ type suiteConfig struct {
 // the hot path as shipped (the overhead gate in the root test suite
 // separately bounds the instrumented/stripped ratio).
 func runSuite(cfg suiteConfig) (Record, error) {
-	rec := Record{Schema: schemaV7, Go: runtime.Version(), CPUs: runtime.NumCPU()}
+	rec := Record{Schema: schemaV8, Go: runtime.Version(), CPUs: runtime.NumCPU()}
 	obsReg := cfg.obs
 	if obsReg == nil {
 		obsReg = obs.NewRegistry()
@@ -258,15 +270,16 @@ func runSuite(cfg suiteConfig) (Record, error) {
 	// each archive replayed through the pipeline both sequentially and
 	// in parallel. The deflate entries keep their pre-codec names so the
 	// perf trajectory across committed records stays continuous; packed
-	// entries get a -packed suffix. ArchiveBytes on each entry is what
-	// prices the codec trade: packed must buy its decode speed without
-	// blowing up the bytes the benchmark had to read.
+	// and dict entries get a -packed or -dict suffix. ArchiveBytes on
+	// each entry is what prices the codec trade: packed must buy its
+	// decode speed without blowing up the bytes the benchmark had to
+	// read.
 	replayNV := cfg.replayPackets / 8
 	if replayNV < 1 {
 		replayNV = 1
 	}
-	archives := make(map[tracestore.Codec][]byte, 2)
-	for _, codec := range []tracestore.Codec{tracestore.CodecDeflate, tracestore.CodecPacked} {
+	archives := make(map[tracestore.Codec][]byte, 3)
+	for _, codec := range []tracestore.Codec{tracestore.CodecDeflate, tracestore.CodecPacked, tracestore.CodecDict} {
 		var archive bytes.Buffer
 		if _, err := tracestore.Record(&archive, newSynthTrace(3, cfg.replayPackets, nodes),
 			tracestore.WriterOptions{Metrics: tm, Codec: codec}); err != nil {
@@ -520,6 +533,35 @@ func compare(w *log.Logger, base, cur Record, maxRegression float64) []string {
 	return failed
 }
 
+// codecGateMinNs is the smallest DEFLATE ns/op the codec gate judges.
+// At the default workload sizes every gated entry is well above it; at
+// the tiny sizes of the unit tests, under parallel test load, dict/
+// DEFLATE ratios of single samples were seen to swing from 0.2 to 2.3.
+const codecGateMinNs = 5e6
+
+// codecGate returns the dict entries of rec that lose to DEFLATE on the
+// same trace in the same run: a dict record entry not faster than its
+// DEFLATE counterpart, or a dict replay entry slower than it.
+func codecGate(rec Record) []string {
+	byName := make(map[string]Bench, len(rec.Results))
+	for _, b := range rec.Results {
+		byName[b.Name] = b
+	}
+	var failed []string
+	for _, b := range rec.Results {
+		name, ok := strings.CutSuffix(b.Name, "-"+tracestore.CodecDict.String())
+		d, found := byName[name]
+		if !ok || !found || d.NsPerOp < codecGateMinNs {
+			continue
+		}
+		record := strings.HasPrefix(name, "ptrc-record")
+		if (record && b.NsPerOp >= d.NsPerOp) || (!record && b.NsPerOp > d.NsPerOp) {
+			failed = append(failed, fmt.Sprintf("%s (%.0f ns/op vs deflate %.0f)", b.Name, b.NsPerOp, d.NsPerOp))
+		}
+	}
+	return failed
+}
+
 func writeRecord(path string, rec Record) error {
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -538,7 +580,7 @@ func readRecord(path string) (Record, error) {
 		return Record{}, fmt.Errorf("%s: %w", path, err)
 	}
 	switch rec.Schema {
-	case schemaV1, schemaV2, schemaV3, schemaV4, schemaV5, schemaV6, schemaV7:
+	case schemaV1, schemaV2, schemaV3, schemaV4, schemaV5, schemaV6, schemaV7, schemaV8:
 	default:
 		return Record{}, fmt.Errorf("%s: unknown schema %q", path, rec.Schema)
 	}
@@ -611,6 +653,9 @@ func run(args []string, logger *log.Logger) error {
 		if failed := compare(logger, base, rec, *maxRegression); len(failed) > 0 {
 			return fmt.Errorf("benchmarks regressed beyond the gate: %v", failed)
 		}
+	}
+	if failed := codecGate(rec); len(failed) > 0 {
+		return fmt.Errorf("dict codec lost to deflate on the same trace: %v", failed)
 	}
 	if *memprofile != "" {
 		if err := obs.WriteHeapProfile(*memprofile); err != nil {

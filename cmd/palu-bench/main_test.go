@@ -30,19 +30,22 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Schema != schemaV7 {
-		t.Errorf("schema = %q, want %q", rec.Schema, schemaV7)
+	if rec.Schema != schemaV8 {
+		t.Errorf("schema = %q, want %q", rec.Schema, schemaV8)
 	}
 	// v3+ embeds the instrumented suite's snapshot; the deterministic
 	// counters must show the workload actually ran — including the packed
-	// codec's own read/write counters, proving the codec matrix really
-	// exercised both encodings.
+	// codec's own read/write counters and the dict encoder's spans,
+	// proving the codec matrix really exercised every encoder. (The
+	// synthetic trace repeats almost no pair, so every dict-codec block
+	// falls back to packed columns: see the archive sizes below.)
 	if rec.Metrics == nil {
 		t.Fatal("v4 record has no metrics snapshot")
 	}
 	for _, name := range []string{
 		"palu_stream_windows_total", "palu_ptrc_blocks_read_total", "palu_ptrc_blocks_written_total",
 		"palu_ptrc_packed_blocks_read_total", "palu_ptrc_packed_blocks_written_total",
+		"palu_ptrc_dict_encode_spans_total",
 	} {
 		m, ok := rec.Metrics.Get(name)
 		if !ok || m.Value == 0 {
@@ -56,6 +59,8 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 		"ptrc-record-w1", "ptrc-record-w2", "ptrc-record-w4",
 		"ptrc-replay-sequential-packed", "ptrc-replay-parallel-packed",
 		"ptrc-record-w1-packed", "ptrc-record-w2-packed", "ptrc-record-w4-packed",
+		"ptrc-replay-sequential-dict", "ptrc-replay-parallel-dict",
+		"ptrc-record-w1-dict", "ptrc-record-w2-dict", "ptrc-record-w4-dict",
 		"ptrc-transcode-passthrough", "ptrc-transcode-recode",
 		"engine-suite-replay-shared", "engine-suite-replay-independent",
 		"fit-zm", "fit-registry",
@@ -78,7 +83,7 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 	// Every replay entry names its codec and archive size (the v4
 	// additions); the packed archive must differ in size from deflate's
 	// on the same trace, or the suite silently benchmarked one codec.
-	var deflateBytes, packedBytes uint64
+	var deflateBytes, packedBytes, dictBytes uint64
 	for _, b := range rec.Results {
 		if !strings.HasPrefix(b.Name, "ptrc-replay") {
 			continue
@@ -91,11 +96,19 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 			deflateBytes = b.ArchiveBytes
 		case "packed":
 			packedBytes = b.ArchiveBytes
+		case "dict":
+			dictBytes = b.ArchiveBytes
 		}
 	}
 	if deflateBytes == 0 || packedBytes == 0 || deflateBytes == packedBytes {
 		t.Errorf("replay matrix archive sizes deflate=%d packed=%d: want both codecs, distinct sizes",
 			deflateBytes, packedBytes)
+	}
+	// On this trace the dict codec's packed fallback wins every block, so
+	// the dict archive is the packed archive byte for byte: the -dict
+	// entries price the dict codec's worst case, not its best.
+	if dictBytes != packedBytes {
+		t.Errorf("dict archive %d bytes, want the packed archive's %d (all blocks fall back)", dictBytes, packedBytes)
 	}
 
 	// v5 write-path entries: every record benchmark names its worker
@@ -110,10 +123,7 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 			if b.Workers < 1 {
 				t.Errorf("%s: writer worker count %d not recorded", b.Name, b.Workers)
 			}
-			want := deflateBytes
-			if b.Codec == "packed" {
-				want = packedBytes
-			}
+			want := map[string]uint64{"deflate": deflateBytes, "packed": packedBytes, "dict": dictBytes}[b.Codec]
 			if b.ArchiveBytes != want {
 				t.Errorf("%s: archive bytes %d, want %d (serial/parallel equivalence)",
 					b.Name, b.ArchiveBytes, want)
@@ -224,6 +234,56 @@ func TestReadRecordAcceptsV1(t *testing.T) {
 	}
 	if got := entryCPUs(rec.Results[0], rec); got != 4 {
 		t.Fatalf("v1 entry CPUs = %d, want record-level 4", got)
+	}
+}
+
+// TestCodecGate pins the in-run codec gate on constructed records: it
+// passes when dict records faster and replays no slower than DEFLATE,
+// and names each dict entry that loses.
+func TestCodecGate(t *testing.T) {
+	const ms = 1e6
+	rec := Record{Results: []Bench{
+		{Name: "ptrc-replay-sequential", NsPerOp: 100 * ms},
+		{Name: "ptrc-record-w1", NsPerOp: 100 * ms},
+		{Name: "ptrc-record-w2", NsPerOp: 1 * ms},
+		{Name: "ptrc-replay-sequential-packed", NsPerOp: 500 * ms},
+		{Name: "ptrc-replay-sequential-dict", NsPerOp: 100 * ms},
+		{Name: "ptrc-record-w1-dict", NsPerOp: 99 * ms},
+		{Name: "ptrc-record-w2-dict", NsPerOp: 3 * ms}, // below the noise floor
+	}}
+	if failed := codecGate(rec); len(failed) != 0 {
+		t.Fatalf("gate tripped on a passing record: %v", failed)
+	}
+	rec.Results[4].NsPerOp = 101 * ms // dict replay slower
+	rec.Results[5].NsPerOp = 100 * ms // dict record not faster
+	failed := codecGate(rec)
+	if len(failed) != 2 || !strings.HasPrefix(failed[0], "ptrc-replay-sequential-dict") ||
+		!strings.HasPrefix(failed[1], "ptrc-record-w1-dict") {
+		t.Fatalf("gate should name both losing dict entries, got %v", failed)
+	}
+}
+
+// TestReadRecordAcceptsV7 pins that a v7 baseline — the committed
+// BENCH_PR13.json generation, without -dict entries — still loads and
+// compares: the dict entries are new, not missing.
+func TestReadRecordAcceptsV7(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "v7.json")
+	v7 := `{"schema":"palu-bench-v7","go":"go1.0","cpus":2,"benchmarks":[
+		{"name":"ptrc-record-w1","cpus":2,"workers":1,"codec":"deflate","ns_per_op":100,"allocs_per_op":5,"bytes_per_op":10}]}`
+	if err := os.WriteFile(p, []byte(v7), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := readRecord(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := Record{Schema: schemaV8, CPUs: 2, Results: []Bench{
+		{Name: "ptrc-record-w1", CPUs: 2, NsPerOp: 100, AllocsPerOp: 5},
+		{Name: "ptrc-record-w1-dict", CPUs: 2, NsPerOp: 50, AllocsPerOp: 5},
+	}}
+	if failed := compare(quiet(), base, cur, 2); len(failed) != 0 {
+		t.Fatalf("v7 baseline against a v8 record: %v", failed)
 	}
 }
 

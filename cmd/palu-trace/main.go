@@ -9,16 +9,18 @@
 //	palu-trace convert -in trace.csv  -out trace.ptrc
 //	palu-trace convert -in trace.ptrc -out trace.csv
 //	palu-trace convert -in trace.ptrc -out packed.ptrc -codec packed
-//	palu-trace info    -in trace.ptrc
+//	palu-trace info    -in trace.ptrc -verbose
 //	palu-trace replay  -in trace.ptrc -nv 100000 -quantity fan-out
 //
 // record captures a synthetic observatory trace: exactly the packet
 // prefix a windows×NV pipeline run consumes, so replaying the archive
-// reproduces direct generation bit-identically. convert translates
-// between the trace CSV and PTRC (direction inferred from the -in file's
-// magic); with -codec on a PTRC input it transcodes between block codecs
+// reproduces direct generation bit-identically; its blocks are
+// dict-coded unless -codec says otherwise. convert translates between
+// the trace CSV and PTRC (direction inferred from the -in file's magic);
+// with -codec on a PTRC input it transcodes between block codecs
 // instead. info prints the archive summary from its index without
-// decoding any block. replay streams an archive through the Section II
+// decoding any block; -verbose adds a per-block table, with each dict
+// block's dictionary size K read from its payload. replay streams an archive through the Section II
 // measurement pipeline with parallel block decode.
 package main
 
@@ -126,7 +128,7 @@ func cmdRecord(args []string) error {
 		seed    = fs.Uint64("seed", 1, "random seed")
 		block   = fs.Int("block", 0, "packets per PTRC block (0 = default)")
 		level   = fs.Int("level", 0, "DEFLATE level 1..9 (0 = default)")
-		codec   = fs.String("codec", "deflate", "block codec: deflate|packed")
+		codec   = fs.String("codec", "dict", "block codec: dict|deflate|packed")
 		workers = fs.Int("workers", 1, "parallel compress workers (<= 1 = serial; output is byte-identical at any value)")
 	)
 	fs.Parse(args)
@@ -191,7 +193,7 @@ func cmdConvert(args []string) error {
 		out     = fs.String("out", "", "output trace (opposite format; required)")
 		block   = fs.Int("block", 0, "packets per PTRC block (0 = default)")
 		level   = fs.Int("level", 0, "DEFLATE level 1..9 (0 = default)")
-		codec   = fs.String("codec", "", "block codec for PTRC output: deflate|packed; on a PTRC input, transcode PTRC -> PTRC instead of emitting CSV")
+		codec   = fs.String("codec", "", "block codec for PTRC output: dict|deflate|packed (default dict); on a PTRC input, transcode PTRC -> PTRC instead of emitting CSV")
 		workers = fs.Int("workers", 1, "parallel compress workers for PTRC output (<= 1 = serial; output is byte-identical at any value)")
 	)
 	fs.Parse(args)
@@ -250,7 +252,7 @@ func cmdInfo(args []string) error {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	var (
 		in      = fs.String("in", "", "PTRC archive (required)")
-		verbose = fs.Bool("verbose", false, "append a per-block table (from the index, no block decodes)")
+		verbose = fs.Bool("verbose", false, "append a per-block table (from the index; dict blocks also show their dictionary size K)")
 	)
 	fs.Parse(args)
 	if *in == "" {
@@ -303,14 +305,18 @@ func formatInfoBlocks(path string, info tracestore.ArchiveInfo, blocks []tracest
 		// A tab-free line ends the summary's column block, so the table
 		// below aligns on its own widths.
 		fmt.Fprintln(tw)
-		fmt.Fprintf(tw, "  block\tcodec\tpackets\tvalid\traw\tcompressed\tratio\t\n")
+		fmt.Fprintf(tw, "  block\tcodec\tpackets\tvalid\tK\traw\tcompressed\tratio\t\n")
 		for i, bs := range blocks {
 			ratio := 0.0
 			if bs.RawBytes > 0 {
 				ratio = 100 * float64(bs.CompressedBytes) / float64(bs.RawBytes)
 			}
-			fmt.Fprintf(tw, "  %d\t%s\t%d\t%d\t%d\t%d\t%.1f%%\t\n",
-				i, bs.Codec, bs.Packets, bs.Valid, bs.RawBytes, bs.CompressedBytes, ratio)
+			k := "-"
+			if bs.Codec == tracestore.CodecDict {
+				k = fmt.Sprint(bs.DictKeys)
+			}
+			fmt.Fprintf(tw, "  %d\t%s\t%d\t%d\t%s\t%d\t%d\t%.1f%%\t\n",
+				i, bs.Codec, bs.Packets, bs.Valid, k, bs.RawBytes, bs.CompressedBytes, ratio)
 		}
 	}
 	tw.Flush()

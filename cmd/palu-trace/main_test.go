@@ -139,30 +139,45 @@ func TestRecordedArchiveRoundTripsThroughCSV(t *testing.T) {
 	}
 }
 
-// TestRecordPackedCodecReplayIdentical pins the -codec record path: a
-// packed-codec archive replays the identical packet sequence as the
-// deflate archive of the same site, and info reports the codec mix.
+// TestRecordPackedCodecReplayIdentical pins the -codec record path:
+// packed-codec and default (dict) archives replay the identical packet
+// sequence as the deflate archive of the same site, and info reports
+// the codec mix.
 func TestRecordPackedCodecReplayIdentical(t *testing.T) {
-	var deflated, packed bytes.Buffer
-	if _, err := recordSite(&deflated, testSite(t), 1, 500, tracestore.WriterOptions{}); err != nil {
+	var deflated bytes.Buffer
+	if _, err := recordSite(&deflated, testSite(t), 1, 500,
+		tracestore.WriterOptions{Codec: tracestore.CodecDeflate}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := recordSite(&packed, testSite(t), 1, 500,
-		tracestore.WriterOptions{Codec: tracestore.CodecPacked}); err != nil {
-		t.Fatal(err)
+	for _, codec := range []string{"packed", "dict"} {
+		c, err := tracestore.ParseCodec(codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var archive bytes.Buffer
+		if _, err := recordSite(&archive, testSite(t), 1, 500, tracestore.WriterOptions{Codec: c}); err != nil {
+			t.Fatal(err)
+		}
+		info, err := tracestore.Info(bytes.NewReader(archive.Bytes()), int64(archive.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.CodecMix() != codec {
+			t.Fatalf("codec mix %q, want %s", info.CodecMix(), codec)
+		}
+		sameReplay(t, deflated.Bytes(), archive.Bytes())
 	}
-	info, err := tracestore.Info(bytes.NewReader(packed.Bytes()), int64(packed.Len()))
+}
+
+// sameReplay fails the test unless the two archives replay the same
+// packet sequence.
+func sameReplay(t *testing.T, x, y []byte) {
+	t.Helper()
+	a, err := tracestore.NewReader(bytes.NewReader(x))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.CodecMix() != "packed" {
-		t.Fatalf("codec mix %q, want packed", info.CodecMix())
-	}
-	a, err := tracestore.NewReader(bytes.NewReader(deflated.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tracestore.NewReader(bytes.NewReader(packed.Bytes()))
+	b, err := tracestore.NewReader(bytes.NewReader(y))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +223,10 @@ func TestFormatInfoBlocks(t *testing.T) {
 	}, []tracestore.BlockStat{
 		{Packets: 200, Valid: 195, RawBytes: 1200, CompressedBytes: 600, Codec: tracestore.CodecDeflate},
 		{Packets: 100, Valid: 95, RawBytes: 600, CompressedBytes: 240, Codec: tracestore.CodecPacked},
+		{Packets: 100, Valid: 100, RawBytes: 600, CompressedBytes: 150, Codec: tracestore.CodecDict, DictKeys: 37},
 	})
 	for _, want := range []string{
-		"10 invalid", "block", "compressed", "195", "40.0%", "packed",
+		"10 invalid", "block", "compressed", "195", "40.0%", "packed", "dict", " K ", " 37 ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("verbose info output missing %q:\n%s", want, out)
@@ -218,7 +234,7 @@ func TestFormatInfoBlocks(t *testing.T) {
 	}
 	// Summary (path line + 5 tabbed lines incl. the codec mix), a blank
 	// separator, one row per block plus the table header.
-	if got, want := strings.Count(out, "\n"), 6+1+2+1; got != want {
+	if got, want := strings.Count(out, "\n"), 6+1+3+1; got != want {
 		t.Errorf("verbose info has %d lines, want %d:\n%s", got, want, out)
 	}
 }

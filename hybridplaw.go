@@ -391,8 +391,9 @@ func WriteTraceCSVFrom(w io.Writer, src PacketSource) (int64, error) {
 // archive (see internal/tracestore for the format).
 type TraceWriter = tracestore.Writer
 
-// TraceWriterOptions configures PTRC archiving (block size, DEFLATE
-// level); the zero value selects the defaults.
+// TraceWriterOptions configures PTRC archiving (block size, block
+// codec, DEFLATE level); the zero value selects the defaults, the dict
+// codec among them.
 type TraceWriterOptions = tracestore.WriterOptions
 
 // TraceReader replays a PTRC archive sequentially; it implements

@@ -73,29 +73,12 @@ func TranscodeArchive(r io.ReaderAt, size int64, out io.Writer, opts WriterOptio
 	var pkts []stream.Packet
 	var n int64
 	for i, bl := range idx.blocks {
-		recLen := 1 + blockHeaderLen + bl.compLen
-		if cap(rec) < recLen {
-			rec = make([]byte, recLen)
-		}
-		rec = rec[:recLen]
-		if _, err := r.ReadAt(rec, idx.offsets[i]); err != nil {
-			w.Close()
-			return n, corruptf("reading block %d: %v", i, err)
-		}
-		if rec[0] != tagForCodec(bl.codec) {
-			w.Close()
-			return n, corruptf("block %d: expected %s block tag, found 0x%02x", i, bl.codec, rec[0])
-		}
-		h, err := parseBlockHeader(rec[1:], bl.codec)
+		h, payload, buf, err := idx.readBlock(r, i, rec)
+		rec = buf
 		if err != nil {
 			w.Close()
 			return n, err
 		}
-		if h.packets != bl.packets || h.compLen != bl.compLen {
-			w.Close()
-			return n, corruptf("block %d header disagrees with index", i)
-		}
-		payload := rec[1+blockHeaderLen:]
 		if bl.codec == norm.Codec && bl.packets == norm.BlockSize {
 			// Passthrough candidate: the CRC must be verified against the
 			// *source* header here, because the writer re-signs the
@@ -127,12 +110,7 @@ func TranscodeArchive(r io.ReaderAt, size int64, out io.Writer, opts WriterOptio
 			return n, err
 		}
 		dec.raw = raw
-		if bl.codec == CodecPacked {
-			pkts, err = decodeBlockPacked(raw, h.packets, pkts[:0])
-		} else {
-			pkts, err = decodeBlockRaw(raw, h.packets, pkts[:0])
-		}
-		if err != nil {
+		if pkts, err = dec.decodePackets(bl.codec, raw, h.packets, pkts[:0]); err != nil {
 			w.Close()
 			return n, err
 		}

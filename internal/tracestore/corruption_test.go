@@ -58,7 +58,12 @@ func parallelErr(data []byte) error {
 
 func TestCorruptionTruncated(t *testing.T) {
 	ps := synthPackets(5, 3000, 500, 8)
-	data := writeArchive(t, ps, WriterOptions{BlockSize: 512})
+	for codec := Codec(0); codec < numCodecs; codec++ {
+		testCorruptionTruncated(t, codec.String(), writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: codec}))
+	}
+}
+
+func testCorruptionTruncated(t *testing.T, codec string, data []byte) {
 	cuts := []struct {
 		name string
 		keep int
@@ -73,14 +78,19 @@ func TestCorruptionTruncated(t *testing.T) {
 	}
 	for _, c := range cuts {
 		trunc := data[:c.keep]
-		expectCorrupt(t, "sequential/"+c.name, sequentialErr(trunc))
-		expectCorrupt(t, "parallel/"+c.name, parallelErr(trunc))
+		expectCorrupt(t, codec+"/sequential/"+c.name, sequentialErr(trunc))
+		expectCorrupt(t, codec+"/parallel/"+c.name, parallelErr(trunc))
 	}
 }
 
 func TestCorruptionBitFlips(t *testing.T) {
 	ps := synthPackets(6, 3000, 500, 8)
-	data := writeArchive(t, ps, WriterOptions{BlockSize: 512})
+	for codec := Codec(0); codec < numCodecs; codec++ {
+		testCorruptionBitFlips(t, codec.String(), writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: codec}))
+	}
+}
+
+func testCorruptionBitFlips(t *testing.T, codec string, data []byte) {
 	flips := []struct {
 		name string
 		at   int
@@ -94,8 +104,8 @@ func TestCorruptionBitFlips(t *testing.T) {
 	for _, f := range flips {
 		mutated := append([]byte(nil), data...)
 		mutated[f.at] ^= 0xFF
-		expectCorrupt(t, "sequential/"+f.name, sequentialErr(mutated))
-		expectCorrupt(t, "parallel/"+f.name, parallelErr(mutated))
+		expectCorrupt(t, codec+"/sequential/"+f.name, sequentialErr(mutated))
+		expectCorrupt(t, codec+"/parallel/"+f.name, parallelErr(mutated))
 	}
 }
 
@@ -138,9 +148,13 @@ func TestCorruptionIndexDroppedBlock(t *testing.T) {
 	// Find the start of the last block by walking the records.
 	off := len(fileMagic)
 	lastBlock := -1
-	for data[off] == tagBlock {
+	for {
+		codec, ok := codecForTag(data[off])
+		if !ok {
+			break
+		}
 		lastBlock = off
-		h, err := parseBlockHeader(data[off+1:off+1+blockHeaderLen], CodecDeflate)
+		h, err := parseBlockHeader(data[off+1:off+1+blockHeaderLen], codec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,22 +8,31 @@
 // # File layout
 //
 //	fileMagic (8 bytes)
-//	block record ×N:  tag 0x01/0x03 | header (count, rawLen, compLen, CRC) | payload
+//	block record ×N:  tag 0x01/0x03/0x04 | header (count, rawLen, compLen, CRC) | payload
 //	index record:     tag 0x02 | length | CRC | uvarint-encoded block table
 //	footer (24 bytes): index offset | index length | index CRC | footerMagic
 //
-// Each block holds up to BlockSize packets under one of two codecs,
-// selected per block by the record tag: tag 0x01 is a validity bitmap
-// followed by interleaved (src, dst) uvarint pairs (see encodeBlockRaw
-// for why pairs beat delta encoding on shuffled heavy-tailed traffic),
-// DEFLATE-compressed as one unit; tag 0x03 is the PTRC2 packed-column
-// codec (see packed.go), bit-packed FOR/PFOR miniblocks decodable
-// without an entropy coder. Archives may mix codecs. The per-block CRC
-// (Castagnoli) is over the stored payload, so corruption is detected
-// before any decode work. The trailing index lists every block's packet
-// count, byte length and (for archives with any non-DEFLATE block)
-// codec, which lets readers derive block offsets, seek, slice, and fan
-// blocks out to a decode worker pool; the footer makes the index
+// Each block holds up to BlockSize packets under one of three codecs,
+// selected per block by the record tag:
+//
+//   - tag 0x01, DEFLATE: a validity bitmap followed by interleaved
+//     (src, dst) uvarint pairs (see encodeBlockRaw for why pairs beat
+//     delta encoding on shuffled heavy-tailed traffic), DEFLATE-
+//     compressed as one unit;
+//   - tag 0x03, packed: the PTRC2 packed-column codec (see packed.go),
+//     bit-packed FOR/PFOR miniblocks decodable without an entropy coder;
+//   - tag 0x04, dict: the dictionary codec (see dict.go), each distinct
+//     (src, dst) pair of the block stored once and each packet as its
+//     pair's rank, in the packed codec's miniblocks. It is what the zero
+//     WriterOptions write; a block whose packed payload is strictly
+//     smaller is written as a tag 0x03 block instead.
+//
+// Archives may mix codecs. The per-block CRC (Castagnoli) is over the
+// stored payload, so corruption is detected before any decode work. The
+// trailing index lists every block's packet count, byte length and (for
+// archives with any non-DEFLATE block) codec — ids 0 DEFLATE, 1 packed,
+// 2 dict — which lets readers derive block offsets, seek, slice, and
+// fan blocks out to a decode worker pool; the footer makes the index
 // discoverable from the end of a seekable file, while the in-stream
 // index record keeps purely sequential readers (pipes) self-contained.
 //
@@ -40,6 +49,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"strings"
 
 	"hybridplaw/internal/stream"
 )
@@ -51,6 +61,7 @@ const (
 	tagBlock       = 0x01
 	tagIndex       = 0x02
 	tagBlockPacked = 0x03
+	tagBlockDict   = 0x04
 
 	// blockHeaderLen is the fixed part after a block tag: packet count,
 	// raw length, compressed length, CRC — four uint32, little-endian.
@@ -78,27 +89,49 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Codec identifies the per-block compression scheme. The codec is
 // carried by the block's tag byte (tagBlock = DEFLATE, tagBlockPacked =
-// packed columns) and echoed in the trailing index, so archives may mix
-// codecs block by block and pre-codec `PTRCBLK1` archives keep reading
-// bit-for-bit.
+// packed columns, tagBlockDict = dictionary) and echoed in the trailing
+// index, so archives may mix codecs block by block and pre-codec
+// `PTRCBLK1` archives keep reading bit-for-bit. The Go values are not
+// the on-disk ids: tags come from tagForCodec and index codec-section
+// ids from codecIDs, which keep the ids every earlier archive used.
 type Codec uint8
 
 const (
-	// CodecDeflate is the original DEFLATE block codec; the zero value,
-	// so pre-codec writer configurations keep producing byte-identical
-	// archives.
-	CodecDeflate Codec = 0
+	// CodecDict is the dictionary block codec (see dict.go): each
+	// distinct (src, dst) pair stored once in a sorted dictionary, each
+	// packet as its pair's rank. It is the zero value and so the
+	// default; a block whose packed-column payload would be strictly
+	// smaller is written as a CodecPacked block instead.
+	CodecDict Codec = iota
+	// CodecDeflate is the original DEFLATE block codec.
+	CodecDeflate
 	// CodecPacked is the PTRC2 packed-column codec (see packed.go):
 	// per-column FOR/PFOR bit-packed miniblocks decodable without an
 	// entropy coder.
-	CodecPacked Codec = 1
+	CodecPacked
 
-	numCodecs = 2
+	numCodecs
 )
+
+// codecIDs are the codec ids of the index codec section, fixed by the
+// archives already on disk: DEFLATE 0, packed 1, dict 2.
+var codecIDs = [numCodecs]uint64{CodecDeflate: 0, CodecPacked: 1, CodecDict: 2}
+
+// codecForID maps an index codec-section id back to its codec.
+func codecForID(id uint64) (Codec, bool) {
+	for c, v := range codecIDs {
+		if v == id {
+			return Codec(c), true
+		}
+	}
+	return 0, false
+}
 
 // String names the codec as accepted by ParseCodec.
 func (c Codec) String() string {
 	switch c {
+	case CodecDict:
+		return "dict"
 	case CodecDeflate:
 		return "deflate"
 	case CodecPacked:
@@ -108,25 +141,27 @@ func (c Codec) String() string {
 	}
 }
 
-// ParseCodec parses a codec name as used by CLI flags ("deflate",
-// "packed").
+// ParseCodec parses a codec name as used by CLI flags ("dict",
+// "deflate", "packed").
 func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "deflate":
-		return CodecDeflate, nil
-	case "packed":
-		return CodecPacked, nil
-	default:
-		return 0, fmt.Errorf("tracestore: unknown codec %q (want deflate or packed)", s)
+	for c := Codec(0); c < numCodecs; c++ {
+		if s == c.String() {
+			return c, nil
+		}
 	}
+	return 0, fmt.Errorf("tracestore: unknown codec %q (want dict, deflate or packed)", s)
 }
 
 // tagForCodec maps a codec to its block record tag byte.
 func tagForCodec(c Codec) byte {
-	if c == CodecPacked {
+	switch c {
+	case CodecPacked:
 		return tagBlockPacked
+	case CodecDict:
+		return tagBlockDict
+	default:
+		return tagBlock
 	}
-	return tagBlock
 }
 
 // codecForTag maps a block record tag byte back to its codec; ok is
@@ -137,6 +172,8 @@ func codecForTag(tag byte) (Codec, bool) {
 		return CodecDeflate, true
 	case tagBlockPacked:
 		return CodecPacked, true
+	case tagBlockDict:
+		return CodecDict, true
 	default:
 		return 0, false
 	}
@@ -375,8 +412,9 @@ func parseBlockHeader(b []byte, codec Codec) (blockHeader, error) {
 	// Plausibility bounds that cap what a corrupt header can make a
 	// reader allocate, proportional to bytes actually present in the
 	// stream. The cap is per codec: DEFLATE cannot expand beyond ~1032x
-	// (one bit per symbol floor), and a packed-column payload cannot
-	// represent 256 packets in fewer than ~6 bytes (maxPackedRatio).
+	// (one bit per symbol floor), a packed-column payload cannot
+	// represent 256 packets in fewer than ~6 bytes (maxPackedRatio), and
+	// a dict payload not in fewer than 3 (maxDictRatio).
 	// Either way, n packets need at least a validity bitmap plus two
 	// one-byte varints of canonical raw encoding.
 	case h.rawLen > h.compLen*maxStoredRatio(codec)+64:
@@ -399,10 +437,14 @@ const maxDeflateRatio = 1032
 // corrupt packed header cannot smuggle an oversized allocation through
 // the looser bound of another codec.
 func maxStoredRatio(codec Codec) int {
-	if codec == CodecPacked {
+	switch codec {
+	case CodecPacked:
 		return maxPackedRatio
+	case CodecDict:
+		return maxDictRatio
+	default:
+		return maxDeflateRatio
 	}
-	return maxDeflateRatio
 }
 
 // minRawLen is the smallest possible raw encoding of n packets: the
@@ -414,16 +456,17 @@ func minRawLen(n int) int { return (n+7)/8 + 2*n }
 // attached Metrics bundle (nil = stripped) makes decompress the single
 // read-side instrumentation point.
 type blockDecoder struct {
-	fr  io.ReadCloser
-	src bytes.Reader
-	raw []byte
-	m   *Metrics
+	fr   io.ReadCloser
+	src  bytes.Reader
+	raw  []byte
+	keys []uint64 // dict scratch of the unfused decode
+	m    *Metrics
 }
 
 // decompress verifies the stored payload against the header CRC and
 // stages it into buf (grown as needed, contents overwritten), returning
 // the block's working payload: the inflated raw encoding for DEFLATE
-// blocks, or a copy of the packed payload for packed blocks (whose
+// blocks, or a copy of the payload for packed and dict blocks (whose
 // bit-unpack is deferred to the consumer's decode walk). Either way the
 // returned buffer is independent of comp, so callers that hand payloads
 // across goroutines can pass pooled buffers and recycle comp
@@ -437,7 +480,7 @@ func (d *blockDecoder) decompress(codec Codec, h blockHeader, comp, buf []byte) 
 		d.m.crcFailure()
 		return nil, corruptf("block CRC mismatch: stored %08x, computed %08x", h.crc, crc)
 	}
-	if codec == CodecPacked {
+	if codec != CodecDeflate {
 		reused := cap(buf) >= h.compLen
 		if !reused {
 			buf = make([]byte, h.compLen)
@@ -479,10 +522,22 @@ func (d *blockDecoder) decode(codec Codec, h blockHeader, comp []byte, out []str
 		return out, err
 	}
 	d.raw = raw
-	if codec == CodecPacked {
-		return decodeBlockPacked(raw, h.packets, out)
+	return d.decodePackets(codec, raw, h.packets, out)
+}
+
+// decodePackets decodes a staged payload of n packets into out
+// (appended): the unfused path of both readers and the transcoder.
+func (d *blockDecoder) decodePackets(codec Codec, raw []byte, n int, out []stream.Packet) ([]stream.Packet, error) {
+	switch codec {
+	case CodecPacked:
+		return decodeBlockPacked(raw, n, out)
+	case CodecDict:
+		var err error
+		out, d.keys, err = decodeBlockDict(raw, n, out, d.keys)
+		return out, err
+	default:
+		return decodeBlockRaw(raw, n, out)
 	}
-	return decodeBlockRaw(raw, h.packets, out)
 }
 
 // blockWalker is the codec dispatch over the fused block walkers: one
@@ -492,31 +547,44 @@ type blockWalker struct {
 	codec  Codec
 	enc    encWalker
 	packed packedWalker
+	dict   dictWalker
 }
 
 // init points the walker at a fresh staged payload of the given codec.
 func (w *blockWalker) init(codec Codec, raw []byte, n int) error {
 	w.codec = codec
-	if codec == CodecPacked {
+	switch codec {
+	case CodecPacked:
 		return w.packed.init(raw, n)
+	case CodecDict:
+		return w.dict.init(raw, n)
+	default:
+		return w.enc.init(raw, n)
 	}
-	return w.enc.init(raw, n)
 }
 
 // exhausted reports whether the walker has no packets left.
 func (w *blockWalker) exhausted() bool {
-	if w.codec == CodecPacked {
+	switch w.codec {
+	case CodecPacked:
 		return w.packed.exhausted()
+	case CodecDict:
+		return w.dict.exhausted()
+	default:
+		return w.enc.exhausted()
 	}
-	return w.enc.exhausted()
 }
 
 // decodeInto resumes the fused decode of the current block into pw.
 func (w *blockWalker) decodeInto(pw *stream.PairWindow) (valid, invalid int64, err error) {
-	if w.codec == CodecPacked {
+	switch w.codec {
+	case CodecPacked:
 		return w.packed.decodeInto(pw)
+	case CodecDict:
+		return w.dict.decodeInto(pw)
+	default:
+		return w.enc.decodeInto(pw)
 	}
-	return w.enc.decodeInto(pw)
 }
 
 // archiveIndex is the decoded trailing index: per-block metadata plus the
@@ -531,11 +599,11 @@ type archiveIndex struct {
 // encodeIndexPayload serializes the block table as uvarints. When every
 // block uses the original DEFLATE codec, the payload is byte-identical
 // to the pre-codec format; otherwise a run-length codec section —
-// (run length, codec id) uvarint pairs covering all blocks in order —
-// is appended after the entries. Pre-codec readers never see the
-// section (they would reject it as trailing bytes, which is the correct
-// failure for an archive whose codecs they cannot decode), and the new
-// parser treats its absence as all-DEFLATE.
+// (run length, codec id) uvarint pairs covering all blocks in order,
+// ids from codecIDs — is appended after the entries. Pre-codec readers
+// never see the section (they would reject it as trailing bytes, which
+// is the correct failure for an archive whose codecs they cannot
+// decode), and the new parser treats its absence as all-DEFLATE.
 func encodeIndexPayload(blocks []blockInfo, total, valid int64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(dst []byte, v uint64) []byte {
@@ -563,7 +631,7 @@ func encodeIndexPayload(blocks []blockInfo, total, valid int64) []byte {
 			j++
 		}
 		b = put(b, uint64(j-i))
-		b = put(b, uint64(blocks[i].codec))
+		b = put(b, codecIDs[blocks[i].codec])
 		i = j
 	}
 	return b
@@ -620,6 +688,7 @@ func parseIndexPayload(payload []byte, indexOffset int64) (*archiveIndex, error)
 			valid:   int64(fields[1]),
 			rawLen:  int(fields[2]),
 			compLen: int(fields[3]),
+			codec:   CodecDeflate,
 		}
 		if bl.packets <= 0 || bl.packets > maxBlockPackets ||
 			bl.valid < 0 || bl.valid > int64(bl.packets) ||
@@ -643,18 +712,19 @@ func parseIndexPayload(payload []byte, indexOffset int64) (*archiveIndex, error)
 			if err != nil {
 				return nil, err
 			}
-			codec, err := next()
+			id, err := next()
 			if err != nil {
 				return nil, err
 			}
 			if run == 0 || run > nBlocks-covered {
 				return nil, corruptf("index: codec run of %d blocks out of range", run)
 			}
-			if codec >= numCodecs {
-				return nil, corruptf("index: unknown codec %d", codec)
+			codec, ok := codecForID(id)
+			if !ok {
+				return nil, corruptf("index: unknown codec %d", id)
 			}
 			for i := covered; i < covered+run; i++ {
-				idx.blocks[i].codec = Codec(codec)
+				idx.blocks[i].codec = codec
 			}
 			covered += run
 		}
@@ -730,22 +800,55 @@ type ArchiveInfo struct {
 	// RawBytes and CompressedBytes total the block payloads before and
 	// after compression (headers, index and footer excluded).
 	RawBytes, CompressedBytes int64
-	// DeflateBlocks and PackedBlocks split Blocks by codec.
-	DeflateBlocks, PackedBlocks int
+	// DeflateBlocks, PackedBlocks and DictBlocks split Blocks by codec.
+	DeflateBlocks, PackedBlocks, DictBlocks int
 }
 
 // CodecMix names the archive's codec composition: a single codec name
-// when uniform, or "mixed(deflate:N,packed:M)" for mixed archives.
+// when uniform, or "mixed(deflate:N,packed:M,dict:L)" for mixed
+// archives, listing only the codecs present. An archive without blocks
+// reports "deflate", the codec of the pre-codec format.
 func (a ArchiveInfo) CodecMix() string {
-	switch {
-	case a.PackedBlocks == 0:
-		return CodecDeflate.String()
-	case a.DeflateBlocks == 0:
-		return CodecPacked.String()
-	default:
-		return fmt.Sprintf("mixed(%s:%d,%s:%d)",
-			CodecDeflate, a.DeflateBlocks, CodecPacked, a.PackedBlocks)
+	counts := []struct {
+		codec Codec
+		n     int
+	}{{CodecDeflate, a.DeflateBlocks}, {CodecPacked, a.PackedBlocks}, {CodecDict, a.DictBlocks}}
+	var parts []string
+	for _, c := range counts {
+		if c.n == a.Blocks && c.n > 0 {
+			return c.codec.String()
+		}
+		if c.n > 0 {
+			parts = append(parts, fmt.Sprintf("%s:%d", c.codec, c.n))
+		}
 	}
+	if len(parts) == 0 {
+		return CodecDeflate.String()
+	}
+	return "mixed(" + strings.Join(parts, ",") + ")"
+}
+
+// info summarizes the index; size is the archive length, if known.
+func (idx *archiveIndex) info(size int64) ArchiveInfo {
+	info := ArchiveInfo{
+		FileSize:     size,
+		Blocks:       len(idx.blocks),
+		Packets:      idx.total,
+		ValidPackets: idx.valid,
+	}
+	for _, bl := range idx.blocks {
+		info.RawBytes += int64(bl.rawLen)
+		info.CompressedBytes += int64(bl.compLen)
+		switch bl.codec {
+		case CodecPacked:
+			info.PackedBlocks++
+		case CodecDict:
+			info.DictBlocks++
+		default:
+			info.DeflateBlocks++
+		}
+	}
+	return info
 }
 
 // Info reads the footer and index of a seekable archive and returns its
@@ -756,37 +859,14 @@ func Info(r io.ReaderAt, size int64) (ArchiveInfo, error) {
 	if err != nil {
 		return ArchiveInfo{}, err
 	}
-	info := ArchiveInfo{
-		FileSize:     size,
-		Blocks:       len(idx.blocks),
-		Packets:      idx.total,
-		ValidPackets: idx.valid,
-	}
-	for _, bl := range idx.blocks {
-		info.RawBytes += int64(bl.rawLen)
-		info.CompressedBytes += int64(bl.compLen)
-		if bl.codec == CodecPacked {
-			info.PackedBlocks++
-		} else {
-			info.DeflateBlocks++
-		}
-	}
-	return info, nil
+	return idx.info(size), nil
 }
 
 // InfoFile summarizes the archive at path (open + stat + Info): the one
 // helper behind every "inspect an archive on disk" path.
 func InfoFile(path string) (ArchiveInfo, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return ArchiveInfo{}, err
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return ArchiveInfo{}, err
-	}
-	return Info(f, fi.Size())
+	info, _, err := infoFile(path, false)
+	return info, err
 }
 
 // BlockStat is one block's index entry as exposed to inspection tools
@@ -803,11 +883,20 @@ type BlockStat struct {
 	CompressedBytes int
 	// Codec is the block's compression scheme.
 	Codec Codec
+	// DictKeys is K, the number of distinct (src, dst) pairs in a dict
+	// block's dictionary — the one figure read from the block payload
+	// (CRC-checked) rather than the index. It is 0 for other codecs.
+	DictKeys int
 }
 
 // InfoFileBlocks summarizes the archive at path like InfoFile and
 // additionally returns the per-block table from the trailing index.
 func InfoFileBlocks(path string) (ArchiveInfo, []BlockStat, error) {
+	return infoFile(path, true)
+}
+
+// infoFile is InfoFile, plus the block table when blocks is set.
+func infoFile(path string, blocks bool) (ArchiveInfo, []BlockStat, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return ArchiveInfo{}, nil, err
@@ -821,21 +910,12 @@ func InfoFileBlocks(path string) (ArchiveInfo, []BlockStat, error) {
 	if err != nil {
 		return ArchiveInfo{}, nil, err
 	}
-	info := ArchiveInfo{
-		FileSize:     fi.Size(),
-		Blocks:       len(idx.blocks),
-		Packets:      idx.total,
-		ValidPackets: idx.valid,
+	if !blocks {
+		return idx.info(fi.Size()), nil, nil
 	}
 	stats := make([]BlockStat, len(idx.blocks))
+	var rec []byte
 	for i, bl := range idx.blocks {
-		info.RawBytes += int64(bl.rawLen)
-		info.CompressedBytes += int64(bl.compLen)
-		if bl.codec == CodecPacked {
-			info.PackedBlocks++
-		} else {
-			info.DeflateBlocks++
-		}
 		stats[i] = BlockStat{
 			Packets:         bl.packets,
 			Valid:           bl.valid,
@@ -843,6 +923,58 @@ func InfoFileBlocks(path string) (ArchiveInfo, []BlockStat, error) {
 			CompressedBytes: bl.compLen,
 			Codec:           bl.codec,
 		}
+		if bl.codec == CodecDict {
+			if stats[i].DictKeys, rec, err = idx.dictKeys(f, i, rec); err != nil {
+				return ArchiveInfo{}, nil, err
+			}
+		}
 	}
-	return info, stats, nil
+	return idx.info(fi.Size()), stats, nil
+}
+
+// readBlock reads block i's record into rec (capacity reused) and
+// returns its header and stored payload, checking the tag and header
+// against the index; the payload CRC is left to the caller.
+func (idx *archiveIndex) readBlock(r io.ReaderAt, i int, rec []byte) (blockHeader, []byte, []byte, error) {
+	bl := idx.blocks[i]
+	n := 1 + blockHeaderLen + bl.compLen
+	if cap(rec) < n {
+		rec = make([]byte, n)
+	}
+	rec = rec[:n]
+	if _, err := r.ReadAt(rec, idx.offsets[i]); err != nil {
+		return blockHeader{}, nil, rec, corruptf("reading block %d: %v", i, err)
+	}
+	if rec[0] != tagForCodec(bl.codec) {
+		return blockHeader{}, nil, rec, corruptf("block %d: expected %s block tag, found 0x%02x", i, bl.codec, rec[0])
+	}
+	h, err := parseBlockHeader(rec[1:], bl.codec)
+	if err != nil {
+		return h, nil, rec, err
+	}
+	if h.packets != bl.packets || h.compLen != bl.compLen {
+		return h, nil, rec, corruptf("block %d header disagrees with index", i)
+	}
+	return h, rec[1+blockHeaderLen:], rec, nil
+}
+
+// dictKeys reads dict block i's dictionary size K from its payload,
+// after verifying the payload CRC.
+func (idx *archiveIndex) dictKeys(r io.ReaderAt, i int, rec []byte) (int, []byte, error) {
+	h, payload, rec, err := idx.readBlock(r, i, rec)
+	if err != nil {
+		return 0, rec, err
+	}
+	if crc := crc32.Checksum(payload, crcTable); crc != h.crc {
+		return 0, rec, corruptf("block %d CRC mismatch: stored %08x, computed %08x", i, h.crc, crc)
+	}
+	_, pos, _, err := decodeValidity(payload, h.packets, nil)
+	if err != nil {
+		return 0, rec, err
+	}
+	k, next := uvarintFast(payload, pos)
+	if next <= pos || k > uint64(h.packets) {
+		return 0, rec, corruptf("block %d: bad dictionary size", i)
+	}
+	return int(k), rec, nil
 }

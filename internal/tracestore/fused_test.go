@@ -56,9 +56,10 @@ func renderResults(wins []*stream.WindowResult) []byte {
 
 // TestFusedReplayEquivalence pins the fused decode→window path against
 // the unfused decode→AddBlock→reduce path across {1,2,4} workers for
-// both readers. Every configuration must yield
-// byte-identical window artifacts, identical pipeline stats, and (via
-// PartialSink) identical canonical partials.
+// both readers and every codec, with window boundaries inside blocks.
+// Every configuration must yield byte-identical window artifacts,
+// identical pipeline stats, and (via PartialSink) identical canonical
+// partials.
 func TestFusedReplayEquivalence(t *testing.T) {
 	const (
 		n     = 60000
@@ -66,8 +67,16 @@ func TestFusedReplayEquivalence(t *testing.T) {
 		nv    = 7000
 	)
 	ps := synthPackets(42, n, 3000, 13)
-	data := writeArchive(t, ps, WriterOptions{BlockSize: block})
+	for _, codec := range []Codec{CodecDeflate, CodecPacked, CodecDict} {
+		t.Run(codec.String(), func(t *testing.T) {
+			data := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: codec})
+			fusedReplayEquivalence(t, data, nv)
+		})
+	}
+}
 
+// fusedReplayEquivalence is TestFusedReplayEquivalence over one archive.
+func fusedReplayEquivalence(t *testing.T, data []byte, nv int64) {
 	type capture struct {
 		stats    stream.PipelineStats
 		rendered []byte

@@ -10,7 +10,8 @@ import (
 	"hybridplaw/internal/xrand"
 )
 
-// fuzzArchive builds a small valid PTRC archive for the fuzz corpus.
+// fuzzArchive builds a small valid DEFLATE PTRC archive for the fuzz
+// corpus.
 func fuzzArchive(tb testing.TB, packets int, blockSize int) []byte {
 	return fuzzCodecArchive(tb, packets, blockSize, CodecDeflate)
 }
@@ -31,6 +32,24 @@ func fuzzCodecArchive(tb testing.TB, packets, blockSize int, codec Codec) []byte
 	if _, err := Record(&buf, stream.NewSliceSource(ps), WriterOptions{
 		BlockSize: blockSize, Codec: codec,
 	}); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// fuzzDictArchive builds a small valid archive of dict blocks for the
+// fuzz corpus: the packets repeat 40 (src, dst) pairs, so every block's
+// dictionary beats its packed columns.
+func fuzzDictArchive(tb testing.TB, packets, blockSize int) []byte {
+	tb.Helper()
+	r := xrand.New(9)
+	ps := make([]stream.Packet, packets)
+	for i := range ps {
+		j := uint32(r.Intn(40))
+		ps[i] = stream.Packet{Src: 70000 + 911*j, Dst: 20000 + 37*j, Valid: r.Intn(10) != 0}
+	}
+	var buf bytes.Buffer
+	if _, err := Record(&buf, stream.NewSliceSource(ps), WriterOptions{BlockSize: blockSize}); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -65,6 +84,15 @@ func FuzzReader(f *testing.F) {
 	retag := append([]byte(nil), packed...)
 	retag[len(fileMagic)] = tagBlock // packed block wearing the DEFLATE tag
 	f.Add(retag)
+	dict := fuzzDictArchive(f, 2000, 256)
+	f.Add(dict)                 // dict archive
+	f.Add(dict[:len(dict)*2/3]) // truncated dict archive
+	dflipped := append([]byte(nil), dict...)
+	dflipped[len(dflipped)/2] ^= 0x04 // bit flip in a dict payload
+	f.Add(dflipped)
+	dretag := append([]byte(nil), dict...)
+	dretag[len(fileMagic)] = tagBlockPacked // dict block wearing the packed tag
+	f.Add(dretag)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Sequential reader: pure io.Reader path.
@@ -165,27 +193,34 @@ func FuzzDecodeUvarint(f *testing.F) {
 	})
 }
 
-// refDecodePacked is a deliberately naive reference decoder for the
-// packed-column block payload: one bit at a time off a flat LSB-first
-// bitstream, uvarints via binary.Uvarint, no batching, no fast paths.
-// It exists only as the differential oracle for FuzzPackedCodec — any
-// divergence from decodeBlockPacked (which value, or whether the
-// payload is corrupt at all) is a bug in the optimized decoder.
-func refDecodePacked(raw []byte, n int) ([]stream.Packet, error) {
-	pos := 0
-	uvarint := func() (uint64, bool) {
-		v, k := binary.Uvarint(raw[pos:])
-		if k <= 0 {
-			return 0, false
-		}
-		pos += k
-		return v, true
+// refReader is the deliberately naive parsing core of the reference
+// decoders: uvarints via binary.Uvarint, miniblock fields one bit at a
+// time off a flat LSB-first bitstream, no batching, no fast paths. The
+// reference decoders exist only as differential oracles for the fuzz
+// targets — any divergence from the optimized decoders (which value, or
+// whether the payload is corrupt at all) is a bug in the optimized one.
+type refReader struct {
+	raw []byte
+	pos int
+}
+
+func (r *refReader) uvarint() (uint64, bool) {
+	v, k := binary.Uvarint(r.raw[r.pos:])
+	if k <= 0 {
+		return 0, false
 	}
+	r.pos += k
+	return v, true
+}
+
+// validity parses the validity section of n packets.
+func (r *refReader) validity(n int) ([]bool, error) {
+	raw := r.raw
 	if len(raw) < 1 {
 		return nil, errRef
 	}
 	mode := raw[0]
-	pos = 1
+	r.pos = 1
 	valid := make([]bool, n)
 	switch mode {
 	case validityRaw:
@@ -195,16 +230,16 @@ func refDecodePacked(raw []byte, n int) ([]stream.Packet, error) {
 		for i := 0; i < n; i++ {
 			valid[i] = raw[1+i/8]&(1<<uint(i%8)) != 0
 		}
-		pos = 1 + (n+7)/8
+		r.pos = 1 + (n+7)/8
 	case validityRLE:
-		runCount, ok := uvarint()
+		runCount, ok := r.uvarint()
 		if !ok || runCount == 0 || runCount > uint64(n)+1 {
 			return nil, errRef
 		}
 		at, v := 0, true
-		for r := uint64(0); r < runCount; r++ {
-			run, ok := uvarint()
-			if !ok || (run == 0 && r != 0) || run > uint64(n-at) {
+		for k := uint64(0); k < runCount; k++ {
+			run, ok := r.uvarint()
+			if !ok || (run == 0 && k != 0) || run > uint64(n-at) {
 				return nil, errRef
 			}
 			for i := 0; i < int(run); i++ {
@@ -219,88 +254,172 @@ func refDecodePacked(raw []byte, n int) ([]stream.Packet, error) {
 	default:
 		return nil, errRef
 	}
+	return valid, nil
+}
 
+// miniblock decodes one miniblock of m values.
+func (r *refReader) miniblock(m int) ([]uint32, error) {
+	raw := r.raw
+	if r.pos >= len(raw) {
+		return nil, errRef
+	}
+	b := int(raw[r.pos])
+	r.pos++
+	if b > 32 {
+		return nil, errRef
+	}
+	ref, ok := r.uvarint()
+	if !ok || ref > uint64(^uint32(0)) {
+		return nil, errRef
+	}
+	if r.pos >= len(raw) {
+		return nil, errRef
+	}
+	nEx := int(raw[r.pos])
+	r.pos++
+	if nEx > m || r.pos+nEx > len(raw) {
+		return nil, errRef
+	}
+	exPos := raw[r.pos : r.pos+nEx]
+	r.pos += nEx
+	prev := -1
+	for _, p := range exPos {
+		if int(p) <= prev || int(p) >= m {
+			return nil, errRef
+		}
+		prev = int(p)
+	}
+	exVal := make([]uint64, nEx)
+	for i := range exVal {
+		d, ok := r.uvarint()
+		if !ok {
+			return nil, errRef
+		}
+		exVal[i] = d
+	}
+	words := 8 * ((m*b + 63) / 64)
+	if r.pos+words > len(raw) {
+		return nil, errRef
+	}
+	out := make([]uint32, m)
+	for i := 0; i < m; i++ {
+		field := uint64(0)
+		for j := 0; j < b; j++ {
+			bit := i*b + j
+			if raw[r.pos+bit/8]&(1<<uint(bit%8)) != 0 {
+				field |= 1 << uint(j)
+			}
+		}
+		v := ref + field
+		if v > uint64(^uint32(0)) {
+			return nil, errRef
+		}
+		out[i] = uint32(v)
+	}
+	r.pos += words
+	for k, p := range exPos {
+		v := ref + exVal[k]
+		if v > uint64(^uint32(0)) {
+			return nil, errRef
+		}
+		out[p] = uint32(v)
+	}
+	return out, nil
+}
+
+// column decodes count values as consecutive miniblocks of up to 256.
+func (r *refReader) column(count int) ([]uint32, error) {
+	var col []uint32
+	for at := 0; at < count; at += packedGroup {
+		vals, err := r.miniblock(min(packedGroup, count-at))
+		if err != nil {
+			return nil, err
+		}
+		col = append(col, vals...)
+	}
+	return col, nil
+}
+
+// refDecodePacked is the reference decoder of the packed-column block
+// payload (FuzzPackedCodec's oracle).
+func refDecodePacked(raw []byte, n int) ([]stream.Packet, error) {
+	r := &refReader{raw: raw}
+	valid, err := r.validity(n)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]stream.Packet, n)
 	for i := range out {
 		out[i].Valid = valid[i]
 	}
-	col := func(at, m int, set func(i int, v uint32)) error {
-		if pos >= len(raw) {
-			return errRef
-		}
-		b := int(raw[pos])
-		pos++
-		if b > 32 {
-			return errRef
-		}
-		ref, ok := uvarint()
-		if !ok || ref > uint64(^uint32(0)) {
-			return errRef
-		}
-		if pos >= len(raw) {
-			return errRef
-		}
-		nEx := int(raw[pos])
-		pos++
-		if nEx > m || pos+nEx > len(raw) {
-			return errRef
-		}
-		exPos := raw[pos : pos+nEx]
-		pos += nEx
-		prev := -1
-		for _, p := range exPos {
-			if int(p) <= prev || int(p) >= m {
-				return errRef
-			}
-			prev = int(p)
-		}
-		exVal := make([]uint64, nEx)
-		for i := range exVal {
-			d, ok := uvarint()
-			if !ok {
-				return errRef
-			}
-			exVal[i] = d
-		}
-		words := 8 * ((m*b + 63) / 64)
-		if pos+words > len(raw) {
-			return errRef
-		}
-		for i := 0; i < m; i++ {
-			field := uint64(0)
-			for j := 0; j < b; j++ {
-				bit := i*b + j
-				if raw[pos+bit/8]&(1<<uint(bit%8)) != 0 {
-					field |= 1 << uint(j)
-				}
-			}
-			v := ref + field
-			if v > uint64(^uint32(0)) {
-				return errRef
-			}
-			set(at+i, uint32(v))
-		}
-		pos += words
-		for k, p := range exPos {
-			v := ref + exVal[k]
-			if v > uint64(^uint32(0)) {
-				return errRef
-			}
-			set(at+int(p), uint32(v))
-		}
-		return nil
-	}
 	for at := 0; at < n; at += packedGroup {
 		m := min(packedGroup, n-at)
-		if err := col(at, m, func(i int, v uint32) { out[i].Src = v }); err != nil {
+		src, err := r.miniblock(m)
+		if err != nil {
 			return nil, err
 		}
-		if err := col(at, m, func(i int, v uint32) { out[i].Dst = v }); err != nil {
+		dst, err := r.miniblock(m)
+		if err != nil {
 			return nil, err
+		}
+		for i := 0; i < m; i++ {
+			out[at+i].Src, out[at+i].Dst = src[i], dst[i]
 		}
 	}
-	if pos != len(raw) {
+	if r.pos != len(raw) {
 		return nil, errRef
+	}
+	return out, nil
+}
+
+// refDecodeDict is the reference decoder of the dict block payload
+// (FuzzDictCodec's oracle): whole columns first, every check applied
+// afterwards in a separate plain loop.
+func refDecodeDict(raw []byte, n int) ([]stream.Packet, error) {
+	r := &refReader{raw: raw}
+	valid, err := r.validity(n)
+	if err != nil {
+		return nil, err
+	}
+	k, ok := r.uvarint()
+	if !ok || k > uint64(n) || (k == 0 && n > 0) {
+		return nil, errRef
+	}
+	srcDeltas, err := r.column(int(k))
+	if err != nil {
+		return nil, err
+	}
+	dsts, err := r.column(int(k))
+	if err != nil {
+		return nil, err
+	}
+	ranks, err := r.column(n)
+	if err != nil {
+		return nil, err
+	}
+	if r.pos != len(raw) {
+		return nil, errRef
+	}
+	srcs := make([]uint64, k)
+	sum := uint64(0)
+	for i, d := range srcDeltas {
+		sum += uint64(d)
+		if sum > uint64(^uint32(0)) {
+			return nil, errRef
+		}
+		srcs[i] = sum
+	}
+	for i := 1; i < int(k); i++ {
+		if srcs[i] < srcs[i-1] || (srcs[i] == srcs[i-1] && dsts[i] <= dsts[i-1]) {
+			return nil, errRef
+		}
+	}
+	out := make([]stream.Packet, n)
+	for i, rank := range ranks {
+		if uint64(rank) >= k {
+			return nil, errRef
+		}
+		out[i] = stream.Packet{Src: uint32(srcs[rank]), Dst: dsts[rank], Valid: valid[i]}
 	}
 	return out, nil
 }
@@ -380,6 +499,83 @@ func FuzzPackedCodec(f *testing.F) {
 		var wantValid int64
 		for _, p := range want {
 			if p.Valid {
+				wantValid++
+			}
+		}
+		if valid != wantValid || valid+invalid != int64(n) {
+			t.Fatalf("n=%d: walker split %d/%d, want %d valid of %d", n, valid, invalid, wantValid, n)
+		}
+	})
+}
+
+// FuzzDictCodec is the differential fuzz of the dict block decoder
+// against refDecodeDict: for arbitrary payload bytes and packet counts,
+// decodeBlockDict, the fused dictWalker and the reference must agree on
+// corrupt-vs-valid, and on every decoded packet when valid. Seeds are
+// real encoder payloads (pair repetition, wide ids, invalid packets,
+// one-key blocks) plus bit flips and truncations.
+func FuzzDictCodec(f *testing.F) {
+	r := xrand.New(13)
+	mkPayload := func(n, pairs int, invalidEvery int, wide bool) []byte {
+		ps := make([]stream.Packet, n)
+		for i := range ps {
+			j := uint32(r.Intn(pairs))
+			ps[i] = stream.Packet{Src: j * 37 % 1000, Dst: j * 101 % 5000,
+				Valid: invalidEvery == 0 || i%invalidEvery != 0}
+			if wide && r.Intn(20) == 0 {
+				ps[i].Src = ^uint32(0) - uint32(r.Intn(5))
+			}
+		}
+		return dictPayload(ps)
+	}
+	p600 := mkPayload(600, 90, 7, false)
+	f.Add(p600, 600)
+	f.Add(mkPayload(1, 1, 0, false), 1)
+	f.Add(mkPayload(256, 1, 0, false), 256)
+	f.Add(mkPayload(300, 300, 0, false), 300) // K close to n: wide ranks
+	f.Add(mkPayload(513, 40, 3, true), 513)
+	f.Add(p600[:len(p600)/2], 600) // truncated
+	flipped := append([]byte(nil), p600...)
+	flipped[len(flipped)/3] ^= 0x10
+	f.Add(flipped, 600) // bit-flipped
+	descending := rawDictPayload(3, 2, []uint32{1, 0}, []uint32{6, 5}, []uint32{0, 1, 1})
+	f.Add(descending, 3)
+	f.Add([]byte{}, 5)
+
+	f.Fuzz(func(t *testing.T, raw []byte, n int) {
+		if n < 0 {
+			n = -(n + 1)
+		}
+		n %= 1 << 16 // bound the reference decoder's allocation
+
+		got, _, gotErr := decodeBlockDict(raw, n, nil, nil)
+		want, wantErr := refDecodeDict(raw, n)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("n=%d: decodeBlockDict err=%v, reference err=%v", n, gotErr, wantErr)
+		}
+		var dw dictWalker
+		walkErr := dw.init(raw, n)
+		var valid, invalid int64
+		if walkErr == nil {
+			valid, invalid, walkErr = dw.decodeInto(stream.NewPairWindow(int64(n) + 1))
+		}
+		if (walkErr == nil) != (wantErr == nil) {
+			t.Fatalf("n=%d: dictWalker err=%v, reference err=%v", n, walkErr, wantErr)
+		}
+		if gotErr != nil {
+			checkFuzzErr(t, gotErr)
+			checkFuzzErr(t, walkErr)
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: decoded %d packets, reference %d", n, len(got), len(want))
+		}
+		var wantValid int64
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d packet %d: decodeBlockDict %+v, reference %+v", n, i, got[i], want[i])
+			}
+			if want[i].Valid {
 				wantValid++
 			}
 		}

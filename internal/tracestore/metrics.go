@@ -54,6 +54,19 @@ type Metrics struct {
 	UnpackTime *obs.Timer
 	PackTime   *obs.Timer
 
+	// DictBlocksRead / DictBlocksWritten, DictReadBytes /
+	// DictWrittenBytes are the dict-codec counterparts of the packed
+	// counters. DictDecodeTime spans one dict block's CRC check and
+	// staging; DictEncodeTime spans one block encode under CodecDict,
+	// including the size comparison that may write it as a packed block
+	// (counted under PackedBlocksWritten, not PackTime).
+	DictBlocksRead    *obs.Counter
+	DictBlocksWritten *obs.Counter
+	DictReadBytes     *obs.Counter
+	DictWrittenBytes  *obs.Counter
+	DictDecodeTime    *obs.Timer
+	DictEncodeTime    *obs.Timer
+
 	// CompressQueueDepth gauges blocks sealed by the pipelined writer's
 	// ingest side and not yet committed; CompressWorkersBusy gauges
 	// workers currently inside an encode. Both settle to zero when the
@@ -114,6 +127,18 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"packed block CRC check + staging time", 0),
 		PackTime: reg.Timer("palu_ptrc_pack_ns",
 			"packed block encode time", 0),
+		DictBlocksRead: reg.Counter("palu_ptrc_dict_blocks_read_total",
+			"dict blocks CRC-checked and staged"),
+		DictBlocksWritten: reg.Counter("palu_ptrc_dict_blocks_written_total",
+			"dict blocks encoded and flushed"),
+		DictReadBytes: reg.Counter("palu_ptrc_dict_read_bytes_total",
+			"stored dict payload bytes read"),
+		DictWrittenBytes: reg.Counter("palu_ptrc_dict_written_bytes_total",
+			"stored dict payload bytes written"),
+		DictDecodeTime: reg.Timer("palu_ptrc_dict_decode_ns",
+			"dict block CRC check + staging time", 0),
+		DictEncodeTime: reg.Timer("palu_ptrc_dict_encode_ns",
+			"block encode time under the dict codec", 0),
 		CompressQueueDepth: reg.Gauge("palu_ptrc_compress_queue_depth",
 			"blocks sealed for the write pipeline and not yet committed"),
 		CompressWorkersBusy: reg.Gauge("palu_ptrc_compress_workers_busy",
@@ -144,27 +169,33 @@ func (m *Metrics) crcFailure() {
 }
 
 // decodeStart opens the per-codec decode span: InflateTime for DEFLATE
-// blocks, UnpackTime for packed blocks.
+// blocks, UnpackTime for packed blocks, DictDecodeTime for dict blocks.
 func (m *Metrics) decodeStart(codec Codec) obs.Span {
-	if m == nil {
+	switch {
+	case m == nil:
 		return obs.Span{}
-	}
-	if codec == CodecPacked {
+	case codec == CodecPacked:
 		return m.UnpackTime.Start()
+	case codec == CodecDict:
+		return m.DictDecodeTime.Start()
+	default:
+		return m.InflateTime.Start()
 	}
-	return m.InflateTime.Start()
 }
 
-// encodeStart opens the per-codec encode span: DeflateTime for DEFLATE
-// blocks, PackTime for packed blocks.
+// encodeStart opens the per-codec encode span for the codec a block is
+// encoded under: DeflateTime, PackTime or DictEncodeTime.
 func (m *Metrics) encodeStart(codec Codec) obs.Span {
-	if m == nil {
+	switch {
+	case m == nil:
 		return obs.Span{}
-	}
-	if codec == CodecPacked {
+	case codec == CodecPacked:
 		return m.PackTime.Start()
+	case codec == CodecDict:
+		return m.DictEncodeTime.Start()
+	default:
+		return m.DeflateTime.Start()
 	}
-	return m.DeflateTime.Start()
 }
 
 func (m *Metrics) blockRead(codec Codec, compLen, rawLen int, reused bool) {
@@ -174,9 +205,13 @@ func (m *Metrics) blockRead(codec Codec, compLen, rawLen int, reused bool) {
 	m.BlocksRead.Inc()
 	m.ReadCompressedBytes.Add(int64(compLen))
 	m.ReadRawBytes.Add(int64(rawLen))
-	if codec == CodecPacked {
+	switch codec {
+	case CodecPacked:
 		m.PackedBlocksRead.Inc()
 		m.PackedReadBytes.Add(int64(compLen))
+	case CodecDict:
+		m.DictBlocksRead.Inc()
+		m.DictReadBytes.Add(int64(compLen))
 	}
 	if reused {
 		m.RawBufReuse.Inc()
@@ -222,8 +257,12 @@ func (m *Metrics) blockWritten(codec Codec, rawLen, compLen int) {
 	m.BlocksWritten.Inc()
 	m.WriteRawBytes.Add(int64(rawLen))
 	m.WriteCompressedBytes.Add(int64(compLen))
-	if codec == CodecPacked {
+	switch codec {
+	case CodecPacked:
 		m.PackedBlocksWritten.Inc()
 		m.PackedWrittenBytes.Add(int64(compLen))
+	case CodecDict:
+		m.DictBlocksWritten.Inc()
+		m.DictWrittenBytes.Add(int64(compLen))
 	}
 }

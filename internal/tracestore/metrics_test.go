@@ -22,7 +22,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 
 	var buf bytes.Buffer
 	if _, err := Record(&buf, stream.NewSliceSource(ps), WriterOptions{
-		BlockSize: 512, Metrics: m,
+		BlockSize: 512, Codec: CodecDeflate, Metrics: m,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestMetricsParallelWriter(t *testing.T) {
 	ps := synthPackets(29, 257*11+63, 300, 7)
 	flips := map[int]Codec{500: CodecPacked, 1500: CodecDeflate, 2200: CodecPacked}
 	type counts struct {
-		blocks, raw, comp, deflate, pack int64
+		blocks, raw, comp, deflate, pack, dict int64
 	}
 	measure := func(workers int) counts {
 		t.Helper()
@@ -164,14 +164,15 @@ func TestMetricsParallelWriter(t *testing.T) {
 			comp:    m.WriteCompressedBytes.Value(),
 			deflate: m.DeflateTime.Spans(),
 			pack:    m.PackTime.Spans(),
+			dict:    m.DictEncodeTime.Spans(),
 		}
 	}
 	serial := measure(1)
-	if serial.blocks == 0 || serial.deflate == 0 || serial.pack == 0 {
-		t.Fatalf("serial baseline did not exercise both codecs: %+v", serial)
+	if serial.blocks == 0 || serial.deflate == 0 || serial.pack == 0 || serial.dict == 0 {
+		t.Fatalf("serial baseline did not exercise every codec: %+v", serial)
 	}
-	if serial.deflate+serial.pack != serial.blocks {
-		t.Fatalf("serial encode spans %d+%d != blocks %d", serial.deflate, serial.pack, serial.blocks)
+	if serial.deflate+serial.pack+serial.dict != serial.blocks {
+		t.Fatalf("serial encode spans %d+%d+%d != blocks %d", serial.deflate, serial.pack, serial.dict, serial.blocks)
 	}
 	for _, workers := range []int{2, 4} {
 		if got := measure(workers); got != serial {

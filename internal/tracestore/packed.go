@@ -52,6 +52,7 @@ package tracestore
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 
 	"hybridplaw/internal/stream"
 )
@@ -78,37 +79,40 @@ const (
 func uvarintLen32(v uint32) int { return (bits.Len32(v|1) + 6) / 7 }
 
 // appendValidity appends the validity section: the raw bitmap or its
-// run-length encoding, whichever is smaller (raw wins ties).
+// run-length encoding, whichever is smaller (raw wins ties). It
+// allocates nothing: the runs are sized in one pass and emitted in a
+// second only when RLE wins.
 func appendValidity(dst []byte, packets []stream.Packet) []byte {
 	n := len(packets)
 	nb := (n + 7) / 8
 
-	// Collect alternating run lengths, starting with a valid run (which
-	// may be empty).
-	var runs []int
-	cur, valid := 0, true
-	for _, p := range packets {
-		if p.Valid == valid {
-			cur++
-			continue
+	// forEachRun calls f with the alternating run lengths, starting
+	// with a valid run (which may be empty).
+	forEachRun := func(f func(run int)) {
+		cur, valid := 0, true
+		for _, p := range packets {
+			if p.Valid == valid {
+				cur++
+				continue
+			}
+			f(cur)
+			cur, valid = 1, p.Valid
 		}
-		runs = append(runs, cur)
-		cur, valid = 1, p.Valid
+		f(cur)
 	}
-	runs = append(runs, cur)
-
-	rleLen := uvarintLen32(uint32(len(runs)))
-	for _, r := range runs {
+	runs, rleLen := 0, 0
+	forEachRun(func(r int) {
+		runs++
 		rleLen += uvarintLen32(uint32(r))
-	}
+	})
+	rleLen += uvarintLen32(uint32(runs))
 
-	var tmp [binary.MaxVarintLen64]byte
 	if rleLen < nb {
 		dst = append(dst, validityRLE)
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(runs)))]...)
-		for _, r := range runs {
-			dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(r))]...)
-		}
+		dst = binary.AppendUvarint(dst, uint64(runs))
+		forEachRun(func(r int) {
+			dst = binary.AppendUvarint(dst, uint64(r))
+		})
 		return dst
 	}
 	dst = append(dst, validityRaw)
@@ -186,100 +190,95 @@ func decodeValidity(raw []byte, n int, scratch []byte) (bitmap []byte, pos int, 
 	}
 }
 
-// packMiniblock appends one FOR/PFOR miniblock encoding vals to dst.
-// The width is chosen to minimize the encoded size: for every candidate
-// width the cost is the packed words plus one position byte and one
-// delta uvarint per exception (values whose delta from the miniblock
-// minimum does not fit the width).
-func packMiniblock(dst []byte, vals []uint32) []byte {
+// miniblockWidth chooses the bit width of one FOR/PFOR miniblock over
+// vals and returns it with the miniblock minimum (the reference), the
+// number of exceptions at that width and the miniblock's encoded size
+// in bytes. The width minimizes that size: for every candidate width
+// the cost is the packed words plus one position byte and one delta
+// uvarint per exception (values whose delta from the reference does
+// not fit the width).
+func miniblockWidth(vals []uint32) (ref uint32, b, nEx, size int) {
 	m := len(vals)
-	ref := vals[0]
+	ref = vals[0]
 	for _, v := range vals[1:] {
-		if v < ref {
-			ref = v
-		}
+		ref = min(ref, v)
 	}
 
-	// Histogram deltas by bit length; varBytes accumulates the uvarint
-	// cost of the deltas in each bucket for exception pricing.
-	var cnt, varBytes [33]int
+	// Histogram deltas by bit length. Every delta of bit length l >= 1
+	// costs (l+6)/7 uvarint bytes as an exception, which prices the
+	// buckets.
+	var cnt [33]int
 	maxLen := 0
 	for _, v := range vals {
-		d := v - ref
-		l := bits.Len32(d)
+		l := bits.Len32(v - ref)
 		cnt[l]++
-		varBytes[l] += uvarintLen32(d)
-		if l > maxLen {
-			maxLen = l
-		}
+		maxLen = max(maxLen, l)
 	}
 	wordBytes := func(b int) int { return 8 * ((m*b + 63) / 64) }
-	bestB, bestCost := maxLen, wordBytes(maxLen)
+	bestB, bestEx, bestCost := maxLen, 0, wordBytes(maxLen)
 	ex, exBytes := 0, 0
 	for b := maxLen - 1; b >= 0; b-- {
 		ex += cnt[b+1]
-		exBytes += varBytes[b+1]
+		exBytes += cnt[b+1] * ((b + 7) / 7)
 		if ex > 255 {
 			break // exception count must fit one byte
 		}
 		if c := wordBytes(b) + ex + exBytes; c < bestCost {
-			bestB, bestCost = b, c
+			bestB, bestEx, bestCost = b, ex, c
 		}
 	}
+	// Width byte, reference uvarint and exception-count byte.
+	return ref, bestB, bestEx, 2 + uvarintLen32(ref) + bestCost
+}
 
-	var tmp [binary.MaxVarintLen64]byte
-	b := bestB
+// packMiniblock appends one FOR/PFOR miniblock encoding vals to dst,
+// at the width miniblockWidth chooses.
+func packMiniblock(dst []byte, vals []uint32) []byte {
+	ref, b, nEx, _ := miniblockWidth(vals)
 	dst = append(dst, byte(b))
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(ref))]...)
-
-	// Exception list: positions whose delta needs more than b bits.
-	limit := uint32(0)
-	if b < 32 {
-		limit = uint32(1)<<uint(b) - 1
-	} else {
-		limit = ^uint32(0)
-	}
-	nEx := 0
-	for _, v := range vals {
-		if v-ref > limit {
-			nEx++
-		}
-	}
+	dst = binary.AppendUvarint(dst, uint64(ref))
 	dst = append(dst, byte(nEx))
-	for i, v := range vals {
-		if v-ref > limit {
-			dst = append(dst, byte(i))
+	if nEx > 0 {
+		// Exception list: positions whose delta needs more than b bits
+		// (b < 32 here, or no delta could exceed it).
+		limit := uint32(1)<<uint(b) - 1
+		for i, v := range vals {
+			if v-ref > limit {
+				dst = append(dst, byte(i))
+			}
+		}
+		for _, v := range vals {
+			if d := v - ref; d > limit {
+				dst = binary.AppendUvarint(dst, uint64(d))
+			}
 		}
 	}
-	for _, v := range vals {
-		if d := v - ref; d > limit {
-			dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(d))]...)
-		}
-	}
-
-	// Packed words: masked deltas, LSB-first into little-endian uint64.
 	if b == 0 {
 		return dst
 	}
+
+	// Packed words: masked deltas, LSB-first into little-endian uint64,
+	// written in place after growing dst once.
+	at := len(dst)
+	n := 8 * ((len(vals)*b + 63) / 64)
+	dst = slices.Grow(dst, n)[:at+n]
+	words := dst[at:]
 	mask := uint64(1)<<uint(b) - 1
 	var acc uint64
 	nbits := uint(0)
-	var w8 [8]byte
 	for _, v := range vals {
 		d := uint64(v-ref) & mask
 		acc |= d << nbits
-		if nbits+uint(b) >= 64 {
-			binary.LittleEndian.PutUint64(w8[:], acc)
-			dst = append(dst, w8[:]...)
-			acc = d >> (64 - nbits)
-			nbits = nbits + uint(b) - 64
-		} else {
-			nbits += uint(b)
+		nbits += uint(b)
+		if nbits >= 64 {
+			binary.LittleEndian.PutUint64(words, acc)
+			words = words[8:]
+			nbits -= 64
+			acc = d >> (uint(b) - nbits)
 		}
 	}
 	if nbits > 0 {
-		binary.LittleEndian.PutUint64(w8[:], acc)
-		dst = append(dst, w8[:]...)
+		binary.LittleEndian.PutUint64(words, acc)
 	}
 	return dst
 }
@@ -428,25 +427,58 @@ func unpackBitsChecked(words []byte, m int, b uint, ref uint64, out []uint32) er
 // (the rawLen the block header stores, keeping size accounting
 // comparable across codecs).
 func encodeBlockPacked(dst []byte, packets []stream.Packet) ([]byte, int) {
-	n := len(packets)
-	rawLen := (n + 7) / 8
 	dst = appendValidity(dst, packets)
+	return appendPackedColumns(dst, packets), canonicalRawLen(packets)
+}
+
+// canonicalRawLen is the length of the DEFLATE codec's raw encoding of
+// packets (validity bitmap plus uvarint pairs): the rawLen every
+// codec's block header stores.
+func canonicalRawLen(packets []stream.Packet) int {
+	n := (len(packets) + 7) / 8
+	for _, p := range packets {
+		n += uvarintLen32(p.Src) + uvarintLen32(p.Dst)
+	}
+	return n
+}
+
+// appendPackedColumns appends the packed codec's column groups — the
+// payload after the validity section.
+func appendPackedColumns(dst []byte, packets []stream.Packet) []byte {
 	var col [packedGroup]uint32
-	for at := 0; at < n; at += packedGroup {
-		m := min(packedGroup, n-at)
-		group := packets[at : at+m]
+	for at := 0; at < len(packets); at += packedGroup {
+		group := packets[at:min(at+packedGroup, len(packets))]
 		for i, p := range group {
 			col[i] = p.Src
-			rawLen += uvarintLen32(p.Src)
 		}
-		dst = packMiniblock(dst, col[:m])
+		dst = packMiniblock(dst, col[:len(group)])
 		for i, p := range group {
 			col[i] = p.Dst
-			rawLen += uvarintLen32(p.Dst)
 		}
-		dst = packMiniblock(dst, col[:m])
+		dst = packMiniblock(dst, col[:len(group)])
 	}
-	return dst, rawLen
+	return dst
+}
+
+// packedColumnsSize is len(appendPackedColumns(nil, packets)), computed
+// without emitting a byte.
+func packedColumnsSize(packets []stream.Packet) int {
+	var col [packedGroup]uint32
+	size := 0
+	for at := 0; at < len(packets); at += packedGroup {
+		group := packets[at:min(at+packedGroup, len(packets))]
+		for i, p := range group {
+			col[i] = p.Src
+		}
+		_, _, _, s := miniblockWidth(col[:len(group)])
+		size += s
+		for i, p := range group {
+			col[i] = p.Dst
+		}
+		_, _, _, s = miniblockWidth(col[:len(group)])
+		size += s
+	}
+	return size
 }
 
 // decodeBlockPacked decodes a packed block payload of n packets into

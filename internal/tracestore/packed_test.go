@@ -12,9 +12,12 @@ import (
 	"hybridplaw/internal/xrand"
 )
 
-// writeMixedArchive archives packets alternating the codec per block
-// (even blocks DEFLATE, odd blocks packed) via SetCodec, exercising the
-// mixed-codec index section and both fused walkers in one stream.
+// mixedCodecs is the per-block codec cycle of writeMixedArchive.
+var mixedCodecs = [...]Codec{CodecDeflate, CodecPacked, CodecDict}
+
+// writeMixedArchive archives packets cycling the codec per block
+// (DEFLATE, packed, dict, DEFLATE, ...) via SetCodec, exercising the
+// mixed-codec index section and every fused walker in one stream.
 func writeMixedArchive(t *testing.T, ps []stream.Packet, blockSize int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -24,10 +27,7 @@ func writeMixedArchive(t *testing.T, ps []stream.Packet, blockSize int) []byte {
 	}
 	for i, p := range ps {
 		if i%blockSize == 0 {
-			codec := CodecDeflate
-			if (i/blockSize)%2 == 1 {
-				codec = CodecPacked
-			}
+			codec := mixedCodecs[(i/blockSize)%len(mixedCodecs)]
 			if err := w.SetCodec(codec); err != nil {
 				t.Fatal(err)
 			}
@@ -212,10 +212,13 @@ func TestMiniblockProperty(t *testing.T) {
 }
 
 // TestMixedCodecReplayEquivalence is the codec counterpart of
-// TestFusedReplayEquivalence: the packed and mixed-codec archives must
-// produce byte-identical window artifacts and identical stats to the
-// DEFLATE archive of the same trace, across {1,2,4} workers, for the
-// sequential fused, sequential unfused and parallel fused paths.
+// TestFusedReplayEquivalence: the packed, dict and mixed-codec archives
+// must produce byte-identical window artifacts and identical stats to
+// the DEFLATE archive of the same trace, across {1,2,4} workers, for
+// the sequential fused, sequential unfused and parallel fused paths.
+// NV is not a multiple of the block size, so window boundaries fall in
+// the middle of blocks of every codec and the fused walkers suspend and
+// resume there.
 func TestMixedCodecReplayEquivalence(t *testing.T) {
 	const (
 		n     = 60000
@@ -224,8 +227,9 @@ func TestMixedCodecReplayEquivalence(t *testing.T) {
 	)
 	ps := synthPackets(43, n, 3000, 13)
 	archives := map[string][]byte{
-		"deflate": writeArchive(t, ps, WriterOptions{BlockSize: block}),
+		"deflate": writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: CodecDeflate}),
 		"packed":  writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: CodecPacked}),
+		"dict":    writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: CodecDict}),
 		"mixed":   writeMixedArchive(t, ps, block),
 	}
 
@@ -302,8 +306,9 @@ func TestPackedInfo(t *testing.T) {
 		}
 		return p
 	}
-	deflatePath := write("d.ptrc", writeArchive(t, ps, WriterOptions{BlockSize: 512}))
+	deflatePath := write("d.ptrc", writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecDeflate}))
 	packedPath := write("p.ptrc", writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecPacked}))
+	dictPath := write("k.ptrc", writeArchive(t, ps, WriterOptions{BlockSize: 512}))
 	mixedPath := write("m.ptrc", writeMixedArchive(t, ps, 512))
 
 	di, err := InfoFile(deflatePath)
@@ -331,23 +336,31 @@ func TestPackedInfo(t *testing.T) {
 	if pi.RawBytes != di.RawBytes {
 		t.Errorf("packed RawBytes %d != deflate RawBytes %d", pi.RawBytes, di.RawBytes)
 	}
+	ki, kblocks, err := InfoFileBlocks(dictPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ki.DictBlocks != ki.Blocks || ki.CodecMix() != "dict" || ki.RawBytes != di.RawBytes {
+		t.Errorf("dict archive info: %+v mix %q", ki, ki.CodecMix())
+	}
+	for i, b := range kblocks {
+		if b.Codec != CodecDict || b.DictKeys <= 0 || b.DictKeys > b.Packets {
+			t.Errorf("dict archive block %d: codec %v, K = %d for %d packets", i, b.Codec, b.DictKeys, b.Packets)
+		}
+	}
 	mi, mblocks, err := InfoFileBlocks(mixedPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mi.DeflateBlocks == 0 || mi.PackedBlocks == 0 ||
-		mi.DeflateBlocks+mi.PackedBlocks != mi.Blocks {
+	if mi.DeflateBlocks == 0 || mi.PackedBlocks == 0 || mi.DictBlocks == 0 ||
+		mi.DeflateBlocks+mi.PackedBlocks+mi.DictBlocks != mi.Blocks {
 		t.Errorf("mixed archive info: %+v", mi)
 	}
 	if !strings.HasPrefix(mi.CodecMix(), "mixed(") {
 		t.Errorf("mixed CodecMix = %q", mi.CodecMix())
 	}
 	for i, b := range mblocks {
-		want := CodecDeflate
-		if i%2 == 1 {
-			want = CodecPacked
-		}
-		if b.Codec != want {
+		if want := mixedCodecs[i%len(mixedCodecs)]; b.Codec != want {
 			t.Errorf("mixed archive block %d codec = %v, want %v", i, b.Codec, want)
 		}
 	}
@@ -359,9 +372,9 @@ func TestPackedInfo(t *testing.T) {
 	}
 	defer pr.Close()
 	got := pr.Info()
-	if got.DeflateBlocks != mi.DeflateBlocks || got.PackedBlocks != mi.PackedBlocks {
-		t.Errorf("ParallelReader.Info codec counts %d/%d, want %d/%d",
-			got.DeflateBlocks, got.PackedBlocks, mi.DeflateBlocks, mi.PackedBlocks)
+	if got.DeflateBlocks != mi.DeflateBlocks || got.PackedBlocks != mi.PackedBlocks || got.DictBlocks != mi.DictBlocks {
+		t.Errorf("ParallelReader.Info codec counts %d/%d/%d, want %d/%d/%d",
+			got.DeflateBlocks, got.PackedBlocks, got.DictBlocks, mi.DeflateBlocks, mi.PackedBlocks, mi.DictBlocks)
 	}
 }
 
@@ -370,7 +383,7 @@ func TestPackedInfo(t *testing.T) {
 // reports the expected codec.
 func TestTranscodePTRC(t *testing.T) {
 	ps := synthPackets(23, 5000, 2000, 6)
-	orig := writeArchive(t, ps, WriterOptions{BlockSize: 512})
+	orig := writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecDeflate})
 
 	var packed bytes.Buffer
 	n, err := TranscodePTRC(bytes.NewReader(orig), &packed,
@@ -396,7 +409,7 @@ func TestTranscodePTRC(t *testing.T) {
 
 	var back bytes.Buffer
 	if _, err := TranscodePTRC(bytes.NewReader(packed.Bytes()), &back,
-		WriterOptions{BlockSize: 512}); err != nil {
+		WriterOptions{BlockSize: 512, Codec: CodecDeflate}); err != nil {
 		t.Fatal(err)
 	}
 	// Same packets, same block size, same codec: the round-tripped
@@ -416,6 +429,7 @@ func TestPackedCorruption(t *testing.T) {
 		data []byte
 	}{
 		{"packed", writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecPacked})},
+		{"dict", writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecDict})},
 		{"mixed", writeMixedArchive(t, ps, 512)},
 	} {
 		data := tc.data
@@ -530,21 +544,24 @@ func TestMetricsPacked(t *testing.T) {
 	}
 }
 
-// TestPackedSmallerAndLegacyIdentical pins the two compatibility
-// acceptance criteria: default options still produce byte-identical
-// pre-codec archives, and the packed archive of a replay-benchmark
-// trace shape (uniform random IDs with a hot destination subset, the
-// palu-bench synthTrace distribution the 1.25x size budget is defined
-// on) stays within 1.25x of the DEFLATE archive. Traces with heavy
-// verbatim pair repetition compress further under DEFLATE's LZ77 than
-// any per-column FOR can — that trade is the point of the codec, and
-// the budget is pinned on the distribution the acceptance names.
+// TestPackedSmallerAndLegacyIdentical pins the codec defaults and the
+// packed size budget. Zero-value options write exactly what explicit
+// CodecDict writes (the default changed from DEFLATE to dict on
+// purpose; TestLegacyCodecBytesPinned keeps the DEFLATE and packed
+// bytes themselves from moving). And the packed archive of a
+// replay-benchmark trace shape (uniform random IDs with a hot
+// destination subset, the palu-bench synthTrace distribution the 1.25x
+// size budget is defined on) stays within 1.25x of the DEFLATE archive.
+// Traces with heavy verbatim pair repetition compress further under
+// DEFLATE's LZ77 than any per-column FOR can — that trade is the point
+// of the codec, and the budget is pinned on the distribution the
+// acceptance names.
 func TestPackedSmallerAndLegacyIdentical(t *testing.T) {
 	ps := synthPackets(27, 40000, 8192, 9)
 	a := writeArchive(t, ps, WriterOptions{BlockSize: 4096})
-	b := writeArchive(t, ps, WriterOptions{BlockSize: 4096, Codec: CodecDeflate})
+	b := writeArchive(t, ps, WriterOptions{BlockSize: 4096, Codec: CodecDict})
 	if !bytes.Equal(a, b) {
-		t.Error("zero-value WriterOptions no longer byte-identical to explicit CodecDeflate")
+		t.Error("zero-value WriterOptions no longer byte-identical to explicit CodecDict")
 	}
 
 	rng := xrand.New(20260807)
@@ -556,7 +573,7 @@ func TestPackedSmallerAndLegacyIdentical(t *testing.T) {
 		}
 		bench[i] = p
 	}
-	deflate := writeArchive(t, bench, WriterOptions{BlockSize: 4096})
+	deflate := writeArchive(t, bench, WriterOptions{BlockSize: 4096, Codec: CodecDeflate})
 	packed := writeArchive(t, bench, WriterOptions{BlockSize: 4096, Codec: CodecPacked})
 	if limit := len(deflate) + len(deflate)/4; len(packed) > limit {
 		t.Errorf("packed archive %d bytes exceeds 1.25x deflate %d", len(packed), len(deflate))

@@ -53,6 +53,7 @@ type ParallelReader struct {
 
 	buf  []stream.Packet
 	i    int
+	dec  blockDecoder // unfused decode scratch (Next/NextBlock)
 	walk blockWalker
 	wraw []byte // raw buffer behind walk, recycled when exhausted
 	read int64
@@ -113,24 +114,14 @@ func NewParallelReader(r io.ReaderAt, size int64, opts ParallelOptions) (*Parall
 			dec := blockDecoder{m: opts.Metrics}
 			var rec []byte
 			for j := range jobs {
-				i := j.i
-				bl := idx.blocks[i]
-				n := 1 + blockHeaderLen + bl.compLen
-				if cap(rec) < n {
-					rec = make([]byte, n)
-				}
-				rec = rec[:n]
-				out := parallelBlock{codec: bl.codec}
-				if _, err := r.ReadAt(rec, idx.offsets[i]); err != nil {
-					out.err = corruptf("reading block %d: %v", i, err)
-				} else if rec[0] != tagForCodec(bl.codec) {
-					out.err = corruptf("block %d: expected %s block tag, found 0x%02x", i, bl.codec, rec[0])
-				} else if h, err := parseBlockHeader(rec[1:], bl.codec); err != nil {
+				codec := idx.blocks[j.i].codec
+				out := parallelBlock{codec: codec}
+				h, payload, buf, err := idx.readBlock(r, j.i, rec)
+				rec = buf
+				if err != nil {
 					out.err = err
-				} else if h.packets != bl.packets || h.compLen != bl.compLen {
-					out.err = corruptf("block %d header disagrees with index", i)
 				} else {
-					out.raw, out.err = dec.decompress(bl.codec, h, rec[1+blockHeaderLen:], p.takeRaw())
+					out.raw, out.err = dec.decompress(codec, h, payload, p.takeRaw())
 					out.packets = h.packets
 				}
 				j.slot <- out
@@ -212,11 +203,7 @@ func (p *ParallelReader) fill() bool {
 			return false
 		}
 		var err error
-		if b.codec == CodecPacked {
-			p.buf, err = decodeBlockPacked(b.raw, b.packets, p.buf[:0])
-		} else {
-			p.buf, err = decodeBlockRaw(b.raw, b.packets, p.buf[:0])
-		}
+		p.buf, err = p.dec.decodePackets(b.codec, b.raw, b.packets, p.buf[:0])
 		p.putRaw(b.raw)
 		if err != nil {
 			p.done = true
@@ -312,23 +299,7 @@ func (p *ParallelReader) Err() error { return p.err }
 func (p *ParallelReader) PacketsRead() int64 { return p.read }
 
 // Info summarizes the archive from its already-decoded index.
-func (p *ParallelReader) Info() ArchiveInfo {
-	info := ArchiveInfo{
-		Blocks:       len(p.idx.blocks),
-		Packets:      p.idx.total,
-		ValidPackets: p.idx.valid,
-	}
-	for _, bl := range p.idx.blocks {
-		info.RawBytes += int64(bl.rawLen)
-		info.CompressedBytes += int64(bl.compLen)
-		if bl.codec == CodecPacked {
-			info.PackedBlocks++
-		} else {
-			info.DeflateBlocks++
-		}
-	}
-	return info
-}
+func (p *ParallelReader) Info() ArchiveInfo { return p.idx.info(0) }
 
 // Close stops the decode pool: workers finish the blocks already
 // dispatched, and Close returns once they have exited. It is idempotent

@@ -50,7 +50,7 @@ func replayAll(t *testing.T, archive []byte) []stream.Packet {
 
 // TestParallelWriterEquivalence pins the tentpole property: the
 // pipelined writer produces archives byte-identical to the serial
-// writer at any worker count, across both codecs, mid-stream SetCodec
+// writer at any worker count, across every codec, mid-stream SetCodec
 // flips at non-block boundaries, and a partial final block.
 func TestParallelWriterEquivalence(t *testing.T) {
 	const block = 257
@@ -60,15 +60,18 @@ func TestParallelWriterEquivalence(t *testing.T) {
 		opts  WriterOptions
 		flips map[int]Codec
 	}{
-		{"deflate", WriterOptions{BlockSize: block}, nil},
+		{"deflate", WriterOptions{BlockSize: block, Codec: CodecDeflate}, nil},
 		{"packed", WriterOptions{BlockSize: block, Codec: CodecPacked}, nil},
-		{"mixed", WriterOptions{BlockSize: block}, map[int]Codec{
+		{"dict", WriterOptions{BlockSize: block}, nil},
+		{"mixed", WriterOptions{BlockSize: block, Codec: CodecDeflate}, map[int]Codec{
 			// All flips land mid-block, so the latching rule (codec taken
 			// when the batch seals, buffered partial included) is what
 			// keeps serial and parallel output aligned.
 			300:  CodecPacked,
 			1000: CodecDeflate,
+			1400: CodecDict,
 			1700: CodecPacked,
+			2000: CodecDict,
 		}},
 		{"exact-blocks", WriterOptions{BlockSize: block}, nil}, // trimmed below: no tail
 	}
@@ -177,7 +180,7 @@ func TestRecordFromPrefersBlockDrain(t *testing.T) {
 func TestTranscodeArchivePassthrough(t *testing.T) {
 	const block = 257
 	ps := synthPackets(31, block*6+100, 500, 5)
-	for _, codec := range []Codec{CodecDeflate, CodecPacked} {
+	for _, codec := range []Codec{CodecDeflate, CodecPacked, CodecDict} {
 		t.Run(codec.String(), func(t *testing.T) {
 			src := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: codec})
 			opts := WriterOptions{BlockSize: block, Codec: codec}

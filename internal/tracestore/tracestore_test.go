@@ -82,16 +82,18 @@ func TestRoundTripSequential(t *testing.T) {
 	// Sizes chosen around block boundaries: empty blocks, exactly one
 	// block, one packet over, several blocks plus a partial tail.
 	const block = 64
-	for _, n := range []int{1, 2, block - 1, block, block + 1, 3*block + 17} {
-		ps := synthPackets(uint64(n), n, 1000, 7)
-		data := writeArchive(t, ps, WriterOptions{BlockSize: block})
-		r, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		assertSameTrace(t, drain(t, r), ps)
-		if r.PacketsRead() != int64(n) {
-			t.Errorf("n=%d: PacketsRead = %d", n, r.PacketsRead())
+	for codec := Codec(0); codec < numCodecs; codec++ {
+		for _, n := range []int{1, 2, block - 1, block, block + 1, 3*block + 17} {
+			ps := synthPackets(uint64(n), n, 1000, 7)
+			data := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: codec})
+			r, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatalf("%v n=%d: %v", codec, n, err)
+			}
+			assertSameTrace(t, drain(t, r), ps)
+			if r.PacketsRead() != int64(n) {
+				t.Errorf("%v n=%d: PacketsRead = %d", codec, n, r.PacketsRead())
+			}
 		}
 	}
 }
@@ -99,25 +101,28 @@ func TestRoundTripSequential(t *testing.T) {
 func TestRoundTripParallel(t *testing.T) {
 	const block = 256
 	ps := synthPackets(3, 10*block+99, 5000, 11)
-	data := writeArchive(t, ps, WriterOptions{BlockSize: block})
-	for _, workers := range []int{1, 2, 4, 7} {
-		r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
-			ParallelOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	for codec := Codec(0); codec < numCodecs; codec++ {
+		data := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: codec})
+		for _, workers := range []int{1, 2, 4, 7} {
+			r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
+				ParallelOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", codec, workers, err)
+			}
+			assertSameTrace(t, drain(t, r), ps)
+			if r.PacketsRead() != int64(len(ps)) {
+				t.Errorf("%v workers=%d: PacketsRead = %d", codec, workers, r.PacketsRead())
+			}
+			r.Close()
 		}
-		assertSameTrace(t, drain(t, r), ps)
-		if r.PacketsRead() != int64(len(ps)) {
-			t.Errorf("workers=%d: PacketsRead = %d", workers, r.PacketsRead())
-		}
-		r.Close()
 	}
 }
 
 // TestRoundTripProperty is the randomized property test: for random
 // lengths, block sizes, node ranges and invalid densities, PTRC
 // write→read preserves the exact packet sequence — including invalid
-// packets — through both readers.
+// packets — through both readers, the trials cycling through the
+// codecs.
 func TestRoundTripProperty(t *testing.T) {
 	rng := xrand.New(20260729)
 	for trial := 0; trial < 25; trial++ {
@@ -133,11 +138,12 @@ func TestRoundTripProperty(t *testing.T) {
 				ps[rng.Intn(len(ps))].Dst = ^uint32(0) - uint32(rng.Intn(3))
 			}
 		}
-		data := writeArchive(t, ps, WriterOptions{BlockSize: block})
+		codec := Codec(trial % int(numCodecs))
+		data := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: codec})
 
 		seq, err := NewReader(bytes.NewReader(data))
 		if err != nil {
-			t.Fatalf("trial %d (n=%d block=%d): %v", trial, n, block, err)
+			t.Fatalf("trial %d (%v n=%d block=%d): %v", trial, codec, n, block, err)
 		}
 		assertSameTrace(t, drain(t, seq), ps)
 

@@ -19,10 +19,12 @@ type WriterOptions struct {
 	// DefaultBlockSize.
 	BlockSize int
 	// Level is the DEFLATE compression level (flate.BestSpeed .. 9);
-	// 0 selects flate.DefaultCompression. Ignored by CodecPacked.
+	// 0 selects flate.DefaultCompression. Used by CodecDeflate only.
 	Level int
-	// Codec selects the block codec. The zero value is CodecDeflate, so
-	// pre-codec configurations produce byte-identical archives.
+	// Codec selects the block codec. The zero value is CodecDict, which
+	// writes each block as a dict block or, when that is strictly
+	// smaller, a packed block. Explicit CodecDeflate and CodecPacked
+	// write the same bytes as before the dict codec existed.
 	Codec Codec
 	// Workers selects the number of parallel compress workers for the
 	// record path. <= 1 (the default) keeps the serial inline encode on
@@ -63,13 +65,14 @@ func (o WriterOptions) normalize() (WriterOptions, error) {
 // record (tag | header | payload). It is the single encode path shared
 // by the serial writer and every pipeline worker, which is what makes
 // serial and parallel archives byte-identical: DEFLATE at a fixed level
-// is deterministic per input, the packed codec is canonical, and the
-// header is a pure function of the payload.
+// is deterministic per input, the packed and dict codecs are canonical,
+// and the header is a pure function of the payload.
 type blockEncoder struct {
 	level int
 	fw    *flate.Writer // lazily created on the first DEFLATE block
 	rw    recWriter
 	raw   []byte
+	dict  dictEncoder
 	m     *Metrics
 }
 
@@ -84,17 +87,21 @@ func (w *recWriter) Write(p []byte) (int, error) {
 
 // encodeRecord assembles the complete record for packets under codec
 // into rec (contents overwritten, capacity reused) and returns it with
-// the block's index entry. The packets slice is not retained.
+// the block's index entry, whose codec is the one the block was written
+// in: CodecDict may yield a packed block. The packets slice is not
+// retained.
 func (e *blockEncoder) encodeRecord(rec []byte, packets []stream.Packet, codec Codec) ([]byte, blockInfo, error) {
-	rec = append(rec[:0], tagForCodec(codec))
+	rec = append(rec[:0], 0) // tag, set below
 	var hdr [blockHeaderLen]byte
 	rec = append(rec, hdr[:]...)
 	var rawLen int
 	sp := e.m.encodeStart(codec)
-	if codec == CodecPacked {
-		e.raw, rawLen = encodeBlockPacked(e.raw[:0], packets)
-		rec = append(rec, e.raw...)
-	} else {
+	switch codec {
+	case CodecDict:
+		rec, rawLen, codec = e.dict.appendBlock(rec, packets)
+	case CodecPacked:
+		rec, rawLen = encodeBlockPacked(rec, packets)
+	default:
 		e.raw = encodeBlockRaw(e.raw[:0], packets)
 		rawLen = len(e.raw)
 		if e.fw == nil {
@@ -115,6 +122,7 @@ func (e *blockEncoder) encodeRecord(rec []byte, packets []stream.Packet, codec C
 		rec, e.rw.b = e.rw.b, nil
 	}
 	sp.Stop()
+	rec[0] = tagForCodec(codec)
 
 	comp := rec[1+blockHeaderLen:]
 	var valid int64
@@ -171,8 +179,8 @@ func encodedRecord(rec []byte, b EncodedBlock) []byte {
 }
 
 // Writer streams packets into a PTRC archive. Packets accumulate into a
-// block buffer of BlockSize packets; each full block is encoded (see
-// encodeBlockRaw), DEFLATE-compressed and written as one record, so
+// block buffer of BlockSize packets; each full block is encoded under
+// the writer's codec and written as one record, so
 // memory stays O(block) in serial mode and O(workers × block) in
 // pipelined mode, regardless of trace length. Close flushes the final
 // partial block and writes the index and footer; an archive without
