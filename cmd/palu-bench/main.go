@@ -1,19 +1,19 @@
 // Command palu-bench runs the repo's pinned hot-path benchmarks —
 // streaming window reduce (a worker-count matrix plus the legacy serial
-// pin), PTRC archive replay (sequential and parallel decode, per block
-// codec), PTRC recording and transcoding (write-side codec ×
-// writer-workers matrix plus the index-driven passthrough), and model
-// fitting — and writes a machine-readable JSON record.
-// BENCH_PR13.json at the repo root is the committed perf trajectory; CI
+// pin), PTRC archive replay (sequential and parallel decode), PTRC
+// recording and transcoding (a writer-workers matrix plus the
+// index-driven passthrough and a block-size recode), the scenario
+// engine's shared replay, and model fitting — and writes a
+// machine-readable JSON record.
+// BENCH_PR16.json at the repo root is the committed perf trajectory; CI
 // re-runs the suite and compares against it benchstat-style. The suite
 // runs instrumented (internal/obs) and v3+ records embed the resulting
 // metrics snapshot, so every committed record also documents the
 // workload's exact block/window/packet accounting. v4 records add the
 // codec dimension: each replay entry names its block codec and archive
-// size, pricing the packed codec's size/speed trade against DEFLATE on
-// identical traces. v5 records add the write path: per-codec record
-// benchmarks across writer worker counts (archives are byte-identical
-// at any count, so ArchiveBytes doubles as an equivalence witness) and
+// size. v5 records add the write path: record benchmarks across writer
+// worker counts (archives are byte-identical at any count, so
+// ArchiveBytes doubles as an equivalence witness) and
 // archive-to-archive transcode benchmarks, passthrough and recode. v6
 // records add the engine suite: a four-consumer scenario run over a
 // warm window cache, shared-replay against independent — the
@@ -23,21 +23,22 @@
 // -s4/-s8 matrix points and the per-entry shard count) along with the
 // pipeline option they measured; the remaining matrix points keep their
 // -s1 names so the trajectory across records stays continuous. v8
-// records add the dict codec (the writer default) to the replay and
-// record matrices, as -dict entries.
+// records add the dict codec to the replay and record matrices, as
+// -dict entries. v9 records have one writer, as the library does: the
+// -packed and -dict entries are gone, and the replay, record and
+// transcode entries keep their pre-codec names and measure the default
+// writer (dict blocks, packed where smaller). The passthrough transcode
+// runs on a trace with repeated pairs, so its blocks are dict and pass
+// through; the recode transcode changes the block size.
 //
-// Every run also applies a codec gate that needs no baseline: within
-// the run, on the same trace, each dict record entry must be faster
-// than its DEFLATE counterpart and each dict replay entry no slower.
-// Both sides are measured in one process on one machine, so the gate
-// holds its meaning at any CPU count. It judges only entries whose
-// DEFLATE side takes codecGateMinNs or more: at a few milliseconds per
-// op, one sample mostly measures allocation and scheduling noise.
+// Every run also applies a scaling gate that needs no baseline: within
+// the run, on the same trace, ptrc-record-w2 must be faster than
+// ptrc-record-w1 (see scalingGate).
 //
 // Usage:
 //
-//	palu-bench -out BENCH_PR13.json                   # run + record
-//	palu-bench -out /tmp/b.json -compare BENCH_PR13.json -max-regression 5
+//	palu-bench -out BENCH_PR16.json                   # run + record
+//	palu-bench -out /tmp/b.json -compare BENCH_PR16.json -max-regression 6
 //	palu-bench -packets 500000 -replay-packets 200000 # smaller workloads
 //	palu-bench -metrics - -cpuprofile cpu.pb.gz       # snapshot + profile
 //
@@ -58,7 +59,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"hybridplaw/internal/model"
@@ -116,17 +116,27 @@ const (
 	schemaV5 = "palu-bench-v5" // pre-engine-suite records: no shared-replay pair
 	schemaV6 = "palu-bench-v6" // pre-v7 records: intra-window sharding entries
 	schemaV7 = "palu-bench-v7" // pre-dict records: no -dict entries
-	schemaV8 = "palu-bench-v8"
+	schemaV8 = "palu-bench-v8" // per-codec records: -packed and -dict entries
+	schemaV9 = "palu-bench-v9"
 )
 
 // matrixWorkers is the pipeline benchmark grid. The one-worker point
 // doubles as the legacy pipeline-reduce-serial pin.
-// recordWorkers is the write-side matrix: each codec is recorded at
+// recordWorkers is the write-side matrix: the trace is recorded at
 // every worker count (w1 = the serial writer; the archives are
 // byte-identical at any count, only the wall time moves).
 var (
 	matrixWorkers = []int{1, 2, 4}
 	recordWorkers = []int{1, 2, 4}
+)
+
+// The transcode entries rewrite an archive of transcodeBlock-packet
+// blocks over a table of transcodePairs pairs: few enough that every
+// block's dictionary beats its packed columns, and blocks small enough
+// that a small -replay-packets still fills several.
+const (
+	transcodeBlock = 1 << 12
+	transcodePairs = 256
 )
 
 // measure runs fn repeatedly (after one warm-up) until minTime has
@@ -165,14 +175,35 @@ func measure(name string, minTime time.Duration, maxIters int, fn func() error) 
 }
 
 // synthTrace deterministically generates a hub-skewed random trace.
+// With a pair table it draws every packet from the table instead.
 type synthTrace struct {
 	r     *xrand.RNG
 	n, i  int64
 	nodes int
+	pairs []stream.Packet
 }
 
 func newSynthTrace(seed uint64, n int64, nodes int) *synthTrace {
 	return &synthTrace{r: xrand.New(seed), n: n, nodes: nodes}
+}
+
+// newPairTrace is a synthTrace over a table of pairs hub-skewed pairs:
+// a trace whose pairs repeat, as the dict codec needs to win.
+func newPairTrace(seed uint64, n int64, nodes, pairs int) *synthTrace {
+	s := newSynthTrace(seed, n, nodes)
+	s.pairs = make([]stream.Packet, pairs)
+	for i := range s.pairs {
+		s.pairs[i] = s.draw()
+	}
+	return s
+}
+
+func (s *synthTrace) draw() stream.Packet {
+	p := stream.Packet{Src: uint32(s.r.Intn(s.nodes)), Dst: uint32(s.r.Intn(s.nodes)), Valid: true}
+	if s.r.Intn(4) == 0 {
+		p.Dst = uint32(s.r.Intn(16))
+	}
+	return p
 }
 
 func (s *synthTrace) Next() (stream.Packet, bool) {
@@ -180,11 +211,10 @@ func (s *synthTrace) Next() (stream.Packet, bool) {
 		return stream.Packet{}, false
 	}
 	s.i++
-	p := stream.Packet{Src: uint32(s.r.Intn(s.nodes)), Dst: uint32(s.r.Intn(s.nodes)), Valid: true}
-	if s.r.Intn(4) == 0 {
-		p.Dst = uint32(s.r.Intn(16))
+	if s.pairs != nil {
+		return s.pairs[s.r.Intn(len(s.pairs))], true
 	}
-	return p, true
+	return s.draw(), true
 }
 
 func (s *synthTrace) Err() error { return nil }
@@ -211,7 +241,7 @@ type suiteConfig struct {
 // the hot path as shipped (the overhead gate in the root test suite
 // separately bounds the instrumented/stripped ratio).
 func runSuite(cfg suiteConfig) (Record, error) {
-	rec := Record{Schema: schemaV8, Go: runtime.Version(), CPUs: runtime.NumCPU()}
+	rec := Record{Schema: schemaV9, Go: runtime.Version(), CPUs: runtime.NumCPU()}
 	obsReg := cfg.obs
 	if obsReg == nil {
 		obsReg = obs.NewRegistry()
@@ -266,32 +296,32 @@ func runSuite(cfg suiteConfig) (Record, error) {
 		}
 	}
 
-	// PTRC replay: the same synthetic trace archived once per codec,
-	// each archive replayed through the pipeline both sequentially and
-	// in parallel. The deflate entries keep their pre-codec names so the
-	// perf trajectory across committed records stays continuous; packed
-	// and dict entries get a -packed or -dict suffix. ArchiveBytes on
-	// each entry is what prices the codec trade: packed must buy its
-	// decode speed without blowing up the bytes the benchmark had to
-	// read.
+	// PTRC replay: the synthetic trace archived once by the default
+	// writer and replayed through the pipeline both sequentially and in
+	// parallel. Its ids are uniform, so nearly every pair is distinct and
+	// each block falls back from dict to packed columns: the entries
+	// price the writer's worst case. Codec and ArchiveBytes record the
+	// archive's codec mix and size.
 	replayNV := cfg.replayPackets / 8
 	if replayNV < 1 {
 		replayNV = 1
 	}
-	archives := make(map[tracestore.Codec][]byte, 3)
-	for _, codec := range []tracestore.Codec{tracestore.CodecDeflate, tracestore.CodecPacked, tracestore.CodecDict} {
-		var archive bytes.Buffer
-		if _, err := tracestore.Record(&archive, newSynthTrace(3, cfg.replayPackets, nodes),
-			tracestore.WriterOptions{Metrics: tm, Codec: codec}); err != nil {
-			return rec, err
-		}
-		raw := archive.Bytes()
-		archives[codec] = raw
-		suffix := ""
-		if codec != tracestore.CodecDeflate {
-			suffix = "-" + codec.String()
-		}
-		b, err := measure("ptrc-replay-sequential"+suffix, cfg.minTime, cfg.maxIters, func() error {
+	var archive bytes.Buffer
+	if _, err := tracestore.Record(&archive, newSynthTrace(3, cfg.replayPackets, nodes),
+		tracestore.WriterOptions{Metrics: tm}); err != nil {
+		return rec, err
+	}
+	raw := archive.Bytes()
+	info, err := tracestore.Info(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		return rec, err
+	}
+	mix := info.CodecMix()
+	for _, r := range []struct {
+		name string
+		run  func() error
+	}{
+		{"ptrc-replay-sequential", func() error {
 			src, err := tracestore.NewReader(bytes.NewReader(raw))
 			if err != nil {
 				return err
@@ -299,13 +329,8 @@ func runSuite(cfg suiteConfig) (Record, error) {
 			src.SetMetrics(tm)
 			_, err = stream.Run(src, stream.PipelineConfig{NV: replayNV, Workers: 1, Metrics: sm})
 			return err
-		})
-		b.Codec, b.ArchiveBytes = codec.String(), uint64(len(raw))
-		b.MBPerS = float64(len(raw)) / (b.NsPerOp / 1e9) / 1e6
-		if err := add(b, err); err != nil {
-			return rec, err
-		}
-		b, err = measure("ptrc-replay-parallel"+suffix, cfg.minTime, cfg.maxIters, func() error {
+		}},
+		{"ptrc-replay-parallel", func() error {
 			src, err := tracestore.NewParallelReader(bytes.NewReader(raw), int64(len(raw)),
 				tracestore.ParallelOptions{Metrics: tm})
 			if err != nil {
@@ -314,55 +339,70 @@ func runSuite(cfg suiteConfig) (Record, error) {
 			defer src.Close()
 			_, err = stream.Run(src, stream.PipelineConfig{NV: replayNV, Metrics: sm})
 			return err
-		})
-		b.Codec, b.ArchiveBytes = codec.String(), uint64(len(raw))
+		}},
+	} {
+		b, err := measure(r.name, cfg.minTime, cfg.maxIters, r.run)
+		b.Codec, b.ArchiveBytes = mix, uint64(len(raw))
 		b.MBPerS = float64(len(raw)) / (b.NsPerOp / 1e9) / 1e6
 		if err := add(b, err); err != nil {
 			return rec, err
 		}
+	}
 
-		// Record matrix: the same trace archived at each writer worker
-		// count. The archives are byte-identical at every count (pinned by
-		// the tracestore test suite), so ArchiveBytes must match the replay
-		// entries' exactly — a compare that sees it move caught a codec or
-		// framing change, not a perf change.
-		for _, workers := range recordWorkers {
-			var sink bytes.Buffer
-			b, err := measure(fmt.Sprintf("ptrc-record-w%d%s", workers, suffix),
-				cfg.minTime, cfg.maxIters, func() error {
-					sink.Reset()
-					_, err := tracestore.Record(&sink, newSynthTrace(3, cfg.replayPackets, nodes),
-						tracestore.WriterOptions{Metrics: tm, Codec: codec, Workers: workers})
-					return err
-				})
-			b.Codec, b.Workers, b.ArchiveBytes = codec.String(), workers, uint64(sink.Len())
-			b.MPacketsPerS = float64(cfg.replayPackets) / (b.NsPerOp / 1e9) / 1e6
-			if err := add(b, err); err != nil {
-				return rec, err
-			}
+	// Record matrix: the same trace archived at each writer worker
+	// count. The archives are byte-identical at every count (pinned by
+	// the tracestore test suite), so ArchiveBytes must match the replay
+	// entries' exactly — a compare that sees it move caught a codec or
+	// framing change, not a perf change.
+	for _, workers := range recordWorkers {
+		var sink bytes.Buffer
+		b, err := measure(fmt.Sprintf("ptrc-record-w%d", workers), cfg.minTime, cfg.maxIters, func() error {
+			sink.Reset()
+			_, err := tracestore.Record(&sink, newSynthTrace(3, cfg.replayPackets, nodes),
+				tracestore.WriterOptions{Metrics: tm, Workers: workers})
+			return err
+		})
+		b.Codec, b.Workers, b.ArchiveBytes = mix, workers, uint64(sink.Len())
+		b.MPacketsPerS = float64(cfg.replayPackets) / (b.NsPerOp / 1e9) / 1e6
+		if err := add(b, err); err != nil {
+			return rec, err
 		}
 	}
 
-	// Transcode: archive-to-archive rewrites of the deflate archive. The
-	// passthrough entry re-frames compressed blocks straight off the
-	// index (same codec and geometry, no inflate); the recode entry pays
-	// the full decode + packed re-encode through the bulk block path.
-	srcRaw := archives[tracestore.CodecDeflate]
+	// Transcode: archive-to-archive rewrites of a trace drawn from a
+	// small table of pairs, so its blocks are dict blocks. The
+	// passthrough entry re-frames them straight off the index (same
+	// block size, no decode) and must reproduce the source byte for
+	// byte; the recode entry doubles the block size, paying the full
+	// decode and re-encode through the bulk block path.
+	var src bytes.Buffer
+	if _, err := tracestore.Record(&src, newPairTrace(4, cfg.replayPackets, nodes, transcodePairs),
+		tracestore.WriterOptions{BlockSize: transcodeBlock}); err != nil {
+		return rec, err
+	}
+	srcRaw := src.Bytes()
 	for _, tc := range []struct {
 		name  string
-		codec tracestore.Codec
+		block int
 	}{
-		{"ptrc-transcode-passthrough", tracestore.CodecDeflate},
-		{"ptrc-transcode-recode", tracestore.CodecPacked},
+		{"ptrc-transcode-passthrough", transcodeBlock},
+		{"ptrc-transcode-recode", 2 * transcodeBlock},
 	} {
 		var sink bytes.Buffer
+		passed := tm.PassthroughBlocks.Value()
 		b, err := measure(tc.name, cfg.minTime, cfg.maxIters, func() error {
 			sink.Reset()
 			_, err := tracestore.TranscodeArchive(bytes.NewReader(srcRaw), int64(len(srcRaw)),
-				&sink, tracestore.WriterOptions{Metrics: tm, Codec: tc.codec})
+				&sink, tracestore.WriterOptions{BlockSize: tc.block, Metrics: tm})
 			return err
 		})
-		b.Codec, b.ArchiveBytes = tc.codec.String(), uint64(sink.Len())
+		if err == nil && tc.block == transcodeBlock {
+			if n := tm.PassthroughBlocks.Value() - passed; n == 0 || !bytes.Equal(sink.Bytes(), srcRaw) {
+				err = fmt.Errorf("%s: %d blocks passed through, output equal to the source: %v",
+					tc.name, n, bytes.Equal(sink.Bytes(), srcRaw))
+			}
+		}
+		b.ArchiveBytes = uint64(sink.Len())
 		b.MBPerS = float64(len(srcRaw)) / (b.NsPerOp / 1e9) / 1e6
 		if err := add(b, err); err != nil {
 			return rec, err
@@ -533,33 +573,31 @@ func compare(w *log.Logger, base, cur Record, maxRegression float64) []string {
 	return failed
 }
 
-// codecGateMinNs is the smallest DEFLATE ns/op the codec gate judges.
-// At the default workload sizes every gated entry is well above it; at
-// the tiny sizes of the unit tests, under parallel test load, dict/
-// DEFLATE ratios of single samples were seen to swing from 0.2 to 2.3.
-const codecGateMinNs = 5e6
+// scalingGateMinNs is the smallest ptrc-record-w1 ns/op the scaling
+// gate judges: at a few milliseconds per op, one sample mostly measures
+// allocation and scheduling noise.
+const scalingGateMinNs = 5e6
 
-// codecGate returns the dict entries of rec that lose to DEFLATE on the
-// same trace in the same run: a dict record entry not faster than its
-// DEFLATE counterpart, or a dict replay entry slower than it.
-func codecGate(rec Record) []string {
-	byName := make(map[string]Bench, len(rec.Results))
+// scalingGate returns the failure, if any, of the pipelined writer
+// against the serial writer in the same run: ptrc-record-w2 must be
+// faster than ptrc-record-w1 on the same trace. Both sides run in one
+// process on one machine, so the gate needs no baseline. It judges only
+// a w2 entry measured with at least 2 CPUs against a w1 entry of
+// scalingGateMinNs or more.
+func scalingGate(rec Record) []string {
+	var w1, w2 Bench
 	for _, b := range rec.Results {
-		byName[b.Name] = b
-	}
-	var failed []string
-	for _, b := range rec.Results {
-		name, ok := strings.CutSuffix(b.Name, "-"+tracestore.CodecDict.String())
-		d, found := byName[name]
-		if !ok || !found || d.NsPerOp < codecGateMinNs {
-			continue
-		}
-		record := strings.HasPrefix(name, "ptrc-record")
-		if (record && b.NsPerOp >= d.NsPerOp) || (!record && b.NsPerOp > d.NsPerOp) {
-			failed = append(failed, fmt.Sprintf("%s (%.0f ns/op vs deflate %.0f)", b.Name, b.NsPerOp, d.NsPerOp))
+		switch b.Name {
+		case "ptrc-record-w1":
+			w1 = b
+		case "ptrc-record-w2":
+			w2 = b
 		}
 	}
-	return failed
+	if w1.NsPerOp < scalingGateMinNs || w2.NsPerOp == 0 || entryCPUs(w2, rec) < 2 || w2.NsPerOp < w1.NsPerOp {
+		return nil
+	}
+	return []string{fmt.Sprintf("ptrc-record-w2 (%.0f ns/op vs w1 %.0f)", w2.NsPerOp, w1.NsPerOp)}
 }
 
 func writeRecord(path string, rec Record) error {
@@ -580,7 +618,7 @@ func readRecord(path string) (Record, error) {
 		return Record{}, fmt.Errorf("%s: %w", path, err)
 	}
 	switch rec.Schema {
-	case schemaV1, schemaV2, schemaV3, schemaV4, schemaV5, schemaV6, schemaV7, schemaV8:
+	case schemaV1, schemaV2, schemaV3, schemaV4, schemaV5, schemaV6, schemaV7, schemaV8, schemaV9:
 	default:
 		return Record{}, fmt.Errorf("%s: unknown schema %q", path, rec.Schema)
 	}
@@ -590,7 +628,7 @@ func readRecord(path string) (Record, error) {
 func run(args []string, logger *log.Logger) error {
 	fs := flag.NewFlagSet("palu-bench", flag.ContinueOnError)
 	var (
-		out           = fs.String("out", "BENCH_PR13.json", "output JSON path")
+		out           = fs.String("out", "BENCH_PR16.json", "output JSON path")
 		comparePath   = fs.String("compare", "", "baseline JSON to compare against (benchstat-style ratios)")
 		maxRegression = fs.Float64("max-regression", 0, "fail when any same-hardware ns/op or any allocs/op ratio vs the baseline exceeds this factor (0 = report only)")
 		packets       = fs.Int64("packets", 2_000_000, "pipeline benchmark trace length in packets")
@@ -654,8 +692,8 @@ func run(args []string, logger *log.Logger) error {
 			return fmt.Errorf("benchmarks regressed beyond the gate: %v", failed)
 		}
 	}
-	if failed := codecGate(rec); len(failed) > 0 {
-		return fmt.Errorf("dict codec lost to deflate on the same trace: %v", failed)
+	if failed := scalingGate(rec); len(failed) > 0 {
+		return fmt.Errorf("the pipelined writer did not beat the serial writer: %v", failed)
 	}
 	if *memprofile != "" {
 		if err := obs.WriteHeapProfile(*memprofile); err != nil {

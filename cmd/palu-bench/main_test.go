@@ -30,22 +30,23 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Schema != schemaV8 {
-		t.Errorf("schema = %q, want %q", rec.Schema, schemaV8)
+	if rec.Schema != schemaV9 {
+		t.Errorf("schema = %q, want %q", rec.Schema, schemaV9)
 	}
 	// v3+ embeds the instrumented suite's snapshot; the deterministic
-	// counters must show the workload actually ran — including the packed
-	// codec's own read/write counters and the dict encoder's spans,
-	// proving the codec matrix really exercised every encoder. (The
-	// synthetic trace repeats almost no pair, so every dict-codec block
-	// falls back to packed columns: see the archive sizes below.)
+	// counters must show the workload actually ran — including the
+	// packed fallback's read/write counters, the dict encoder's spans and
+	// the transcode passthrough. (The replay trace repeats almost no
+	// pair, so every block falls back to packed columns; the transcode
+	// trace repeats its pairs, so its blocks are dict.)
 	if rec.Metrics == nil {
-		t.Fatal("v4 record has no metrics snapshot")
+		t.Fatal("record has no metrics snapshot")
 	}
 	for _, name := range []string{
 		"palu_stream_windows_total", "palu_ptrc_blocks_read_total", "palu_ptrc_blocks_written_total",
 		"palu_ptrc_packed_blocks_read_total", "palu_ptrc_packed_blocks_written_total",
-		"palu_ptrc_dict_encode_spans_total",
+		"palu_ptrc_dict_encode_spans_total", "palu_ptrc_dict_blocks_read_total",
+		"palu_ptrc_passthrough_blocks_total",
 	} {
 		m, ok := rec.Metrics.Get(name)
 		if !ok || m.Value == 0 {
@@ -57,10 +58,6 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 		"pipeline-w1-s1", "pipeline-w2-s1", "pipeline-w4-s1",
 		"ptrc-replay-sequential", "ptrc-replay-parallel",
 		"ptrc-record-w1", "ptrc-record-w2", "ptrc-record-w4",
-		"ptrc-replay-sequential-packed", "ptrc-replay-parallel-packed",
-		"ptrc-record-w1-packed", "ptrc-record-w2-packed", "ptrc-record-w4-packed",
-		"ptrc-replay-sequential-dict", "ptrc-replay-parallel-dict",
-		"ptrc-record-w1-dict", "ptrc-record-w2-dict", "ptrc-record-w4-dict",
 		"ptrc-transcode-passthrough", "ptrc-transcode-recode",
 		"engine-suite-replay-shared", "engine-suite-replay-independent",
 		"fit-zm", "fit-registry",
@@ -80,61 +77,28 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 			t.Errorf("%s: entry records no CPU count", name)
 		}
 	}
-	// Every replay entry names its codec and archive size (the v4
-	// additions); the packed archive must differ in size from deflate's
-	// on the same trace, or the suite silently benchmarked one codec.
-	var deflateBytes, packedBytes, dictBytes uint64
-	for _, b := range rec.Results {
-		if !strings.HasPrefix(b.Name, "ptrc-replay") {
-			continue
-		}
-		if b.Codec == "" || b.ArchiveBytes == 0 {
-			t.Errorf("%s: codec %q / archive bytes %d not recorded", b.Name, b.Codec, b.ArchiveBytes)
-		}
-		switch b.Codec {
-		case "deflate":
-			deflateBytes = b.ArchiveBytes
-		case "packed":
-			packedBytes = b.ArchiveBytes
-		case "dict":
-			dictBytes = b.ArchiveBytes
-		}
+	// The replay and record entries name the archive's codec mix and
+	// size: on this trace every block falls back to packed, and the
+	// record entries write the replay archive byte for byte at every
+	// worker count (the pipelined writer's equivalence guarantee showing
+	// up in the committed record). The transcode entries write archives.
+	replay := rec.Results[4]
+	if replay.Codec != "packed" || replay.ArchiveBytes == 0 {
+		t.Errorf("%s: codec %q, archive bytes %d; want the packed fallback", replay.Name, replay.Codec, replay.ArchiveBytes)
 	}
-	if deflateBytes == 0 || packedBytes == 0 || deflateBytes == packedBytes {
-		t.Errorf("replay matrix archive sizes deflate=%d packed=%d: want both codecs, distinct sizes",
-			deflateBytes, packedBytes)
-	}
-	// On this trace the dict codec's packed fallback wins every block, so
-	// the dict archive is the packed archive byte for byte: the -dict
-	// entries price the dict codec's worst case, not its best.
-	if dictBytes != packedBytes {
-		t.Errorf("dict archive %d bytes, want the packed archive's %d (all blocks fall back)", dictBytes, packedBytes)
-	}
-
-	// v5 write-path entries: every record benchmark names its worker
-	// count and produces an archive byte-identical to the replay
-	// archive of the same codec (the pipelined writer's equivalence
-	// guarantee showing up in the committed record); the passthrough
-	// transcode reproduces the deflate archive byte count exactly, and
-	// the recode transcode lands on the packed one.
 	for _, b := range rec.Results {
 		switch {
-		case strings.HasPrefix(b.Name, "ptrc-record"):
-			if b.Workers < 1 {
+		case strings.HasPrefix(b.Name, "ptrc-replay"), strings.HasPrefix(b.Name, "ptrc-record"):
+			if b.Codec != replay.Codec || b.ArchiveBytes != replay.ArchiveBytes {
+				t.Errorf("%s: codec %q, %d bytes; want the replay archive's %q, %d bytes",
+					b.Name, b.Codec, b.ArchiveBytes, replay.Codec, replay.ArchiveBytes)
+			}
+			if strings.HasPrefix(b.Name, "ptrc-record") && b.Workers < 1 {
 				t.Errorf("%s: writer worker count %d not recorded", b.Name, b.Workers)
 			}
-			want := map[string]uint64{"deflate": deflateBytes, "packed": packedBytes, "dict": dictBytes}[b.Codec]
-			if b.ArchiveBytes != want {
-				t.Errorf("%s: archive bytes %d, want %d (serial/parallel equivalence)",
-					b.Name, b.ArchiveBytes, want)
-			}
-		case b.Name == "ptrc-transcode-passthrough":
-			if b.ArchiveBytes != deflateBytes {
-				t.Errorf("%s: archive bytes %d, want deflate %d", b.Name, b.ArchiveBytes, deflateBytes)
-			}
-		case b.Name == "ptrc-transcode-recode":
-			if b.ArchiveBytes != packedBytes {
-				t.Errorf("%s: archive bytes %d, want packed %d", b.Name, b.ArchiveBytes, packedBytes)
+		case strings.HasPrefix(b.Name, "ptrc-transcode"):
+			if b.ArchiveBytes == 0 {
+				t.Errorf("%s: archive bytes not recorded", b.Name)
 			}
 		}
 	}
@@ -237,35 +201,49 @@ func TestReadRecordAcceptsV1(t *testing.T) {
 	}
 }
 
-// TestCodecGate pins the in-run codec gate on constructed records: it
-// passes when dict records faster and replays no slower than DEFLATE,
-// and names each dict entry that loses.
-func TestCodecGate(t *testing.T) {
+// TestScalingGate pins the in-run scaling gate on constructed records:
+// it passes when the two-worker writer beats the serial one, fires when
+// it does not, and judges nothing below 5 ms or on one CPU.
+func TestScalingGate(t *testing.T) {
 	const ms = 1e6
-	rec := Record{Results: []Bench{
-		{Name: "ptrc-replay-sequential", NsPerOp: 100 * ms},
-		{Name: "ptrc-record-w1", NsPerOp: 100 * ms},
-		{Name: "ptrc-record-w2", NsPerOp: 1 * ms},
-		{Name: "ptrc-replay-sequential-packed", NsPerOp: 500 * ms},
-		{Name: "ptrc-replay-sequential-dict", NsPerOp: 100 * ms},
-		{Name: "ptrc-record-w1-dict", NsPerOp: 99 * ms},
-		{Name: "ptrc-record-w2-dict", NsPerOp: 3 * ms}, // below the noise floor
-	}}
-	if failed := codecGate(rec); len(failed) != 0 {
-		t.Fatalf("gate tripped on a passing record: %v", failed)
+	record := func(cpus int, w1, w2 float64) Record {
+		return Record{CPUs: cpus, Results: []Bench{
+			{Name: "ptrc-replay-sequential", NsPerOp: 100 * ms},
+			{Name: "ptrc-record-w1", Workers: 1, NsPerOp: w1},
+			{Name: "ptrc-record-w2", Workers: 2, NsPerOp: w2},
+			{Name: "ptrc-record-w4", Workers: 4, NsPerOp: 2 * w1},
+		}}
 	}
-	rec.Results[4].NsPerOp = 101 * ms // dict replay slower
-	rec.Results[5].NsPerOp = 100 * ms // dict record not faster
-	failed := codecGate(rec)
-	if len(failed) != 2 || !strings.HasPrefix(failed[0], "ptrc-replay-sequential-dict") ||
-		!strings.HasPrefix(failed[1], "ptrc-record-w1-dict") {
-		t.Fatalf("gate should name both losing dict entries, got %v", failed)
+	for _, c := range []struct {
+		name   string
+		rec    Record
+		failed bool
+	}{
+		{"w2 faster", record(2, 40*ms, 26*ms), false},
+		{"w2 as slow", record(2, 40*ms, 40*ms), true},
+		{"w2 slower", record(4, 40*ms, 41*ms), true},
+		{"w1 under the noise floor", record(2, 4*ms, 6*ms), false},
+		{"one CPU", record(1, 40*ms, 45*ms), false},
+		{"no record entries", Record{CPUs: 2, Results: []Bench{{Name: "fit-zm", NsPerOp: 40 * ms}}}, false},
+	} {
+		failed := scalingGate(c.rec)
+		if (len(failed) > 0) != c.failed {
+			t.Errorf("%s: gate returned %v, want failure %v", c.name, failed, c.failed)
+		}
+		if c.failed && (len(failed) != 1 || !strings.HasPrefix(failed[0], "ptrc-record-w2")) {
+			t.Errorf("%s: gate should name ptrc-record-w2, got %v", c.name, failed)
+		}
+	}
+	// An entry's own CPU count overrides the record's.
+	rec := record(1, 40*ms, 45*ms)
+	rec.Results[2].CPUs = 2
+	if failed := scalingGate(rec); len(failed) != 1 {
+		t.Errorf("w2 measured on 2 CPUs in a 1-CPU record: gate returned %v, want a failure", failed)
 	}
 }
 
-// TestReadRecordAcceptsV7 pins that a v7 baseline — the committed
-// BENCH_PR13.json generation, without -dict entries — still loads and
-// compares: the dict entries are new, not missing.
+// TestReadRecordAcceptsV7 pins that a v7 baseline — without -dict
+// entries — still loads and compares by name against a current record.
 func TestReadRecordAcceptsV7(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "v7.json")
@@ -278,12 +256,40 @@ func TestReadRecordAcceptsV7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := Record{Schema: schemaV8, CPUs: 2, Results: []Bench{
-		{Name: "ptrc-record-w1", CPUs: 2, NsPerOp: 100, AllocsPerOp: 5},
-		{Name: "ptrc-record-w1-dict", CPUs: 2, NsPerOp: 50, AllocsPerOp: 5},
+	cur := Record{Schema: schemaV9, CPUs: 2, Results: []Bench{
+		{Name: "ptrc-record-w1", CPUs: 2, Codec: "packed", NsPerOp: 100, AllocsPerOp: 5},
 	}}
 	if failed := compare(quiet(), base, cur, 2); len(failed) != 0 {
-		t.Fatalf("v7 baseline against a v8 record: %v", failed)
+		t.Fatalf("v7 baseline against a v9 record: %v", failed)
+	}
+}
+
+// TestReadRecordAcceptsV8 pins that a v8 baseline — the per-codec
+// generation, with -packed and -dict entries — still loads. Its
+// per-codec entries are retired in v9, so a compare against a v9
+// record reports them as missing: a v8 file is read, not gated on.
+func TestReadRecordAcceptsV8(t *testing.T) {
+	dir := t.TempDir()
+	p := filepath.Join(dir, "v8.json")
+	v8 := `{"schema":"palu-bench-v8","go":"go1.0","cpus":2,"benchmarks":[
+		{"name":"ptrc-record-w1","cpus":2,"workers":1,"codec":"deflate","ns_per_op":100,"allocs_per_op":5,"bytes_per_op":10},
+		{"name":"ptrc-record-w1-dict","cpus":2,"workers":1,"codec":"dict","ns_per_op":60,"allocs_per_op":5,"bytes_per_op":10}]}`
+	if err := os.WriteFile(p, []byte(v8), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := readRecord(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Results) != 2 || base.Results[1].Codec != "dict" {
+		t.Fatalf("v8 record decoded as %+v", base.Results)
+	}
+	cur := Record{Schema: schemaV9, CPUs: 2, Results: []Bench{
+		{Name: "ptrc-record-w1", CPUs: 2, Codec: "packed", NsPerOp: 100, AllocsPerOp: 5},
+	}}
+	failed := compare(quiet(), base, cur, 2)
+	if len(failed) != 1 || !strings.Contains(failed[0], "ptrc-record-w1-dict (missing)") {
+		t.Fatalf("v8 baseline against a v9 record: %v, want only the retired -dict entry missing", failed)
 	}
 }
 

@@ -8,20 +8,22 @@
 //	palu-trace record  -out trace.ptrc -nv 100000 -windows 4 [site flags]
 //	palu-trace convert -in trace.csv  -out trace.ptrc
 //	palu-trace convert -in trace.ptrc -out trace.csv
-//	palu-trace convert -in trace.ptrc -out packed.ptrc -codec packed
+//	palu-trace convert -in old.ptrc   -out new.ptrc
 //	palu-trace info    -in trace.ptrc -verbose
 //	palu-trace replay  -in trace.ptrc -nv 100000 -quantity fan-out
 //
 // record captures a synthetic observatory trace: exactly the packet
 // prefix a windows×NV pipeline run consumes, so replaying the archive
-// reproduces direct generation bit-identically; its blocks are
-// dict-coded unless -codec says otherwise. convert translates between
-// the trace CSV and PTRC (direction inferred from the -in file's magic);
-// with -codec on a PTRC input it transcodes between block codecs
-// instead. info prints the archive summary from its index without
-// decoding any block; -verbose adds a per-block table, with each dict
-// block's dictionary size K read from its payload. replay streams an archive through the Section II
-// measurement pipeline with parallel block decode.
+// reproduces direct generation bit-identically. Every PTRC file the
+// command writes has dict blocks, with packed blocks where those are
+// smaller. convert translates between the trace CSV and PTRC (direction
+// inferred from the -in file's magic); a PTRC input with a .ptrc -out
+// is re-archived under the current writer instead, which is how
+// archives with DEFLATE blocks migrate. info prints the archive summary
+// from its index without decoding any block; -verbose adds a per-block
+// table, with each dict block's dictionary size K read from its
+// payload. replay streams an archive through the Section II measurement
+// pipeline with parallel block decode.
 package main
 
 import (
@@ -85,7 +87,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage: palu-trace <record|convert|info|replay> [flags]
 
   record  -out FILE -nv N -windows W   capture a synthetic site trace to PTRC
-  convert -in FILE -out FILE           convert trace CSV <-> PTRC
+  convert -in FILE -out FILE           convert trace CSV <-> PTRC, or re-archive PTRC -> .ptrc
   info    -in FILE                     print a PTRC archive summary
   replay  -in FILE -nv N [-windows W]  run the measurement pipeline on an archive
   cache   -dir DIR                     summarize a scenario-engine window cache
@@ -127,17 +129,11 @@ func cmdRecord(args []string) error {
 		p       = fs.Float64("p", 0.5, "edge observation probability")
 		seed    = fs.Uint64("seed", 1, "random seed")
 		block   = fs.Int("block", 0, "packets per PTRC block (0 = default)")
-		level   = fs.Int("level", 0, "DEFLATE level 1..9 (0 = default)")
-		codec   = fs.String("codec", "dict", "block codec: dict|deflate|packed")
 		workers = fs.Int("workers", 1, "parallel compress workers (<= 1 = serial; output is byte-identical at any value)")
 	)
 	fs.Parse(args)
 	if *out == "" {
 		return fmt.Errorf("record: -out is required")
-	}
-	c, err := tracestore.ParseCodec(*codec)
-	if err != nil {
-		return fmt.Errorf("record: %w", err)
 	}
 	if *windows <= 0 || *nv <= 0 {
 		return fmt.Errorf("record: -windows and -nv must be positive")
@@ -156,7 +152,7 @@ func cmdRecord(args []string) error {
 	}
 	defer f.Close()
 	n, err := recordSite(f, site, *windows, *nv,
-		tracestore.WriterOptions{BlockSize: *block, Level: *level, Codec: c, Workers: *workers})
+		tracestore.WriterOptions{BlockSize: *block, Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -190,22 +186,13 @@ func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	var (
 		in      = fs.String("in", "", "input trace (CSV or PTRC, sniffed; required)")
-		out     = fs.String("out", "", "output trace (opposite format; required)")
+		out     = fs.String("out", "", "output trace (opposite format, or a .ptrc file to re-archive a PTRC input; required)")
 		block   = fs.Int("block", 0, "packets per PTRC block (0 = default)")
-		level   = fs.Int("level", 0, "DEFLATE level 1..9 (0 = default)")
-		codec   = fs.String("codec", "", "block codec for PTRC output: dict|deflate|packed (default dict); on a PTRC input, transcode PTRC -> PTRC instead of emitting CSV")
 		workers = fs.Int("workers", 1, "parallel compress workers for PTRC output (<= 1 = serial; output is byte-identical at any value)")
 	)
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("convert: -in and -out are required")
-	}
-	var c tracestore.Codec
-	if *codec != "" {
-		var err error
-		if c, err = tracestore.ParseCodec(*codec); err != nil {
-			return fmt.Errorf("convert: %w", err)
-		}
 	}
 	ptrc, err := isPTRC(*in)
 	if err != nil {
@@ -221,13 +208,13 @@ func cmdConvert(args []string) error {
 		return err
 	}
 	defer dst.Close()
-	opts := tracestore.WriterOptions{BlockSize: *block, Level: *level, Codec: c, Workers: *workers}
+	opts := tracestore.WriterOptions{BlockSize: *block, Workers: *workers}
 	var n int64
 	switch {
-	case ptrc && *codec != "":
-		// A PTRC input file is seekable: the index-driven transcode can
-		// re-frame blocks that need no re-encoding (same codec and block
-		// geometry) without ever inflating them.
+	case ptrc && strings.HasSuffix(*out, ".ptrc"):
+		// A PTRC input file is seekable: the index-driven transcode
+		// re-frames dict blocks that need no re-encoding (same block
+		// size) without decoding them.
 		st, serr := src.Stat()
 		if serr != nil {
 			return serr

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -139,33 +141,43 @@ func TestRecordedArchiveRoundTripsThroughCSV(t *testing.T) {
 	}
 }
 
-// TestRecordPackedCodecReplayIdentical pins the -codec record path:
-// packed-codec and default (dict) archives replay the identical packet
-// sequence as the deflate archive of the same site, and info reports
-// the codec mix.
-func TestRecordPackedCodecReplayIdentical(t *testing.T) {
-	var deflated bytes.Buffer
-	if _, err := recordSite(&deflated, testSite(t), 1, 500,
-		tracestore.WriterOptions{Codec: tracestore.CodecDeflate}); err != nil {
-		t.Fatal(err)
-	}
-	for _, codec := range []string{"packed", "dict"} {
-		c, err := tracestore.ParseCodec(codec)
+// TestConvertMigratesLegacyArchives pins the migration path for
+// archives from earlier writers: palu-trace convert re-archives the
+// committed DEFLATE and packed-v1 archives under the current writer,
+// leaving no DEFLATE block, replaying the input's packets, and writing
+// the same bytes at -workers 2 as serially.
+func TestConvertMigratesLegacyArchives(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"legacy-deflate-v1", "legacy-packed-v1"} {
+		in := filepath.Join("..", "..", "internal", "tracestore", "testdata", name+".ptrc")
+		convert := func(workers string) []byte {
+			t.Helper()
+			out := filepath.Join(dir, name+"-w"+workers+".ptrc")
+			if err := cmdConvert([]string{"-in", in, "-out", out, "-workers", workers}); err != nil {
+				t.Fatalf("%s: convert: %v", name, err)
+			}
+			info, err := tracestore.InfoFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.DeflateBlocks != 0 || info.Blocks == 0 {
+				t.Errorf("%s: converted archive has codec mix %s", name, info.CodecMix())
+			}
+			data, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		serial := convert("1")
+		legacy, err := os.ReadFile(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var archive bytes.Buffer
-		if _, err := recordSite(&archive, testSite(t), 1, 500, tracestore.WriterOptions{Codec: c}); err != nil {
-			t.Fatal(err)
+		sameReplay(t, legacy, serial)
+		if !bytes.Equal(serial, convert("2")) {
+			t.Errorf("%s: convert -workers 2 differs from -workers 1", name)
 		}
-		info, err := tracestore.Info(bytes.NewReader(archive.Bytes()), int64(archive.Len()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.CodecMix() != codec {
-			t.Fatalf("codec mix %q, want %s", info.CodecMix(), codec)
-		}
-		sameReplay(t, deflated.Bytes(), archive.Bytes())
 	}
 }
 

@@ -391,9 +391,9 @@ func WriteTraceCSVFrom(w io.Writer, src PacketSource) (int64, error) {
 // archive (see internal/tracestore for the format).
 type TraceWriter = tracestore.Writer
 
-// TraceWriterOptions configures PTRC archiving (block size, block
-// codec, DEFLATE level); the zero value selects the defaults, the dict
-// codec among them.
+// TraceWriterOptions configures PTRC archiving (block size, compress
+// workers, metrics); the zero value selects the defaults. Blocks are
+// always dict-coded, or packed where that is smaller.
 type TraceWriterOptions = tracestore.WriterOptions
 
 // TraceReader replays a PTRC archive sequentially; it implements

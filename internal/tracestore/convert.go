@@ -29,32 +29,17 @@ func PTRCToCSV(ptrc io.Reader, csv io.Writer) (int64, error) {
 	return stream.WriteTraceCSVFrom(csv, r)
 }
 
-// TranscodePTRC re-archives a PTRC stream under opts — the migration
-// path between codecs (palu-trace convert -codec). The packet sequence
-// is preserved exactly (replay is float-identical by construction: the
-// codec changes the bytes on disk, never the decoded packets); only the
-// block encoding and block-size boundaries follow opts. It returns the
-// packet count. The reader is a stream.BlockSource, so the writer's
-// bulk ingest path applies; for a seekable source, TranscodeArchive
-// additionally skips decode+re-encode for blocks the target writer
-// would store unchanged.
-func TranscodePTRC(in io.Reader, out io.Writer, opts WriterOptions) (int64, error) {
-	r, err := NewReader(in)
-	if err != nil {
-		return 0, err
-	}
-	return Record(out, r, opts)
-}
-
 // TranscodeArchive re-archives a seekable PTRC archive under opts,
-// walking the source index block by block. Blocks the target writer
-// would store byte-identically — same codec, a packet count equal to
-// the target block size, and no partial batch buffered — are re-framed
-// verbatim through the encoded-block passthrough (CRC-verified first,
-// never inflated); everything else decodes and replays through the
-// normal bulk write path. For archives produced by this package the
-// output is byte-identical to TranscodePTRC over the same input. It
-// returns the packet count.
+// walking the source index block by block — the migration path for
+// archives of any codec (palu-trace convert). The packet sequence is
+// preserved exactly; only the block encoding and block boundaries
+// follow the writer. Dict blocks of exactly the target block size are
+// re-framed verbatim through the encoded-block passthrough
+// (CRC-verified first, never decoded): re-encoding their packets would
+// yield the same bytes. Every other block decodes and replays through
+// the normal bulk write path. For any archive this package wrote, the
+// output is byte-identical to Record over a Reader of the same input.
+// It returns the packet count.
 func TranscodeArchive(r io.ReaderAt, size int64, out io.Writer, opts WriterOptions) (int64, error) {
 	norm, err := opts.normalize()
 	if err != nil {
@@ -79,7 +64,7 @@ func TranscodeArchive(r io.ReaderAt, size int64, out io.Writer, opts WriterOptio
 			w.Close()
 			return n, err
 		}
-		if bl.codec == norm.Codec && bl.packets == norm.BlockSize {
+		if bl.codec == CodecDict && bl.packets == norm.BlockSize {
 			// Passthrough candidate: the CRC must be verified against the
 			// *source* header here, because the writer re-signs the
 			// payload with a freshly computed checksum.

@@ -59,7 +59,7 @@ func parallelErr(data []byte) error {
 func TestCorruptionTruncated(t *testing.T) {
 	ps := synthPackets(5, 3000, 500, 8)
 	for codec := Codec(0); codec < numCodecs; codec++ {
-		testCorruptionTruncated(t, codec.String(), writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: codec}))
+		testCorruptionTruncated(t, codec.String(), archiveOf(t, ps, 512, codec))
 	}
 }
 
@@ -86,7 +86,7 @@ func testCorruptionTruncated(t *testing.T, codec string, data []byte) {
 func TestCorruptionBitFlips(t *testing.T) {
 	ps := synthPackets(6, 3000, 500, 8)
 	for codec := Codec(0); codec < numCodecs; codec++ {
-		testCorruptionBitFlips(t, codec.String(), writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: codec}))
+		testCorruptionBitFlips(t, codec.String(), archiveOf(t, ps, 512, codec))
 	}
 }
 

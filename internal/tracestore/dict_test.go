@@ -2,14 +2,12 @@ package tracestore
 
 import (
 	"bytes"
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"hybridplaw/internal/netgen"
@@ -104,14 +102,8 @@ func TestDictPayloadChecks(t *testing.T) {
 // any writer worker count.
 func TestDictFallback(t *testing.T) {
 	const block = 1000
-	ps := make([]stream.Packet, 0, 4*block+10)
-	for i := 0; i < 2*block; i++ { // unique pairs: K = n
-		ps = append(ps, stream.Packet{Src: uint32(i), Dst: uint32(i*7919) % 100003, Valid: true})
-	}
-	for i := 0; i < 2*block+10; i++ { // 20 pairs of wide ids: K << n
-		j := uint32(i*i) % 20
-		ps = append(ps, stream.Packet{Src: 1e6 + 977*j, Dst: 3e6 + 131*j, Valid: i%6 != 5})
-	}
+	// Unique pairs (K = n), then 20 pairs of wide ids (K << n).
+	ps := append(uniquePairs(2*block), repeatedPairs(2*block+10)...)
 	serial := writeArchive(t, ps, WriterOptions{BlockSize: block})
 	for _, workers := range []int{2, 3} {
 		if !bytes.Equal(serial, writeArchive(t, ps, WriterOptions{BlockSize: block, Workers: workers})) {
@@ -162,24 +154,18 @@ func TestDictEdgeValues(t *testing.T) {
 func TestDictEncoderNoAllocs(t *testing.T) {
 	ps := synthPackets(5, 4096, 500, 9)
 	var e blockEncoder
-	rec, _, err := e.encodeRecord(nil, ps, CodecDict)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec, _ := e.encodeRecord(nil, ps)
 	allocs := testing.AllocsPerRun(20, func() {
-		rec, _, err = e.encodeRecord(rec, ps, CodecDict)
+		rec, _ = e.encodeRecord(rec, ps)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if allocs != 0 {
 		t.Errorf("warm dict block encode allocates %.1f times per block", allocs)
 	}
 }
 
 // TestMetricsDict pins the dict codec's metrics split: a dict archive
-// lands every block in the dict counters and timers, none in the
-// DEFLATE or packed ones, and the canonical-raw accounting invariant
+// lands every block in the dict counters and timers, none in the packed
+// or DEFLATE ones, and the canonical-raw accounting invariant
 // (ReadRawBytes == info.RawBytes) holds for the dict codec too.
 func TestMetricsDict(t *testing.T) {
 	ps := synthPackets(25, 3000, 200, 7)
@@ -204,14 +190,8 @@ func TestMetricsDict(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, info.Blocks)
 		}
 	}
-	for name, got := range map[string]int64{
-		"deflate spans":         m.DeflateTime.Spans(),
-		"pack spans":            m.PackTime.Spans(),
-		"packed blocks written": m.PackedBlocksWritten.Value(),
-	} {
-		if got != 0 {
-			t.Errorf("%s = %d on a dict archive", name, got)
-		}
+	if got := m.PackedBlocksWritten.Value(); got != 0 {
+		t.Errorf("packed blocks written = %d on a dict archive", got)
 	}
 	if got := m.WriteRawBytes.Value(); got != info.RawBytes {
 		t.Errorf("write raw bytes = %d, index says %d", got, info.RawBytes)
@@ -255,8 +235,8 @@ func TestMetricsDict(t *testing.T) {
 
 // legacyPackets are the packets of the committed pre-dict archives in
 // testdata (legacy-deflate-v1.ptrc, legacy-packed-v1.ptrc: 512-packet
-// blocks, written with explicit CodecDeflate and CodecPacked before the
-// dict codec existed).
+// blocks, written by the DEFLATE and packed writers before the dict
+// codec existed).
 func legacyPackets() []stream.Packet { return synthPackets(2026, 3000, 400, 9) }
 
 // TestLegacyArchivesReplay pins that archives written before the dict
@@ -316,11 +296,11 @@ func TestLegacyArchivesReplay(t *testing.T) {
 	}
 }
 
-// TestLegacyCodecBytesPinned pins the bytes of explicit CodecDeflate
-// and CodecPacked archives, serial and pipelined, to SHA-256 digests
-// captured before the dict codec was added: adding a codec and changing
-// the default must not move a byte the existing codecs write. The
-// committed legacy archives are pinned the same way, as written today.
+// TestLegacyCodecBytesPinned pins the reference writer's DEFLATE and
+// packed archives to SHA-256 digests captured from the retired DEFLATE
+// and packed writers, and to the committed legacy archives: the reader
+// tests that run on writeCodecArchive output run on byte for byte what
+// those writers wrote.
 func TestLegacyCodecBytesPinned(t *testing.T) {
 	ps := synthPackets(27, 40000, 8192, 9)
 	for _, c := range []struct {
@@ -330,11 +310,9 @@ func TestLegacyCodecBytesPinned(t *testing.T) {
 		{CodecDeflate, "432512b073fb5ee5395675e0c694d8a4586a54dac1e0e9f0d458e72f9f6fee9c"},
 		{CodecPacked, "8730c4fc4b4142a4f6dceb5b615cedd08965a28ce19e8ffaf0f35e77de592bb8"},
 	} {
-		for _, workers := range []int{1, 3} {
-			data := writeArchive(t, ps, WriterOptions{BlockSize: 4096, Codec: c.codec, Workers: workers})
-			if got := sha256.Sum256(data); hex.EncodeToString(got[:]) != c.sum {
-				t.Errorf("%v workers=%d: archive sha256 %x, pinned %s", c.codec, workers, got, c.sum)
-			}
+		data := writeCodecArchive(t, ps, 4096, c.codec)
+		if got := sha256.Sum256(data); hex.EncodeToString(got[:]) != c.sum {
+			t.Errorf("%v: archive sha256 %x, pinned %s", c.codec, got, c.sum)
 		}
 	}
 	for _, c := range []struct {
@@ -345,7 +323,7 @@ func TestLegacyCodecBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := writeArchive(t, legacyPackets(), WriterOptions{BlockSize: 512, Codec: c.codec}); !bytes.Equal(got, want) {
+		if got := writeCodecArchive(t, legacyPackets(), 512, c.codec); !bytes.Equal(got, want) {
 			t.Errorf("%v archive of the legacy packets no longer matches %s", c.codec, c.name)
 		}
 	}
@@ -473,22 +451,30 @@ func uniformBlock() []stream.Packet {
 	return ps
 }
 
-// BenchmarkBlockEncode times one default-size block record per codec on
-// heavy-tailed and on uniform traffic, next to the reference dict
-// encoder; B/pkt is the stored payload size.
+// BenchmarkBlockEncode times one default-size block record of the
+// writer on heavy-tailed and on uniform traffic, next to the reference
+// dict encoder and the retired DEFLATE and packed encodings of the same
+// block; B/pkt is the stored payload size.
 func BenchmarkBlockEncode(b *testing.B) {
 	for _, data := range []struct {
 		name string
 		ps   []stream.Packet
 	}{{"traffic", trafficBlock(b)}, {"uniform", uniformBlock()}} {
-		for _, c := range []Codec{CodecDict, CodecDeflate, CodecPacked} {
+		b.Run(data.name+"/writer", func(b *testing.B) {
+			var e blockEncoder
+			var rec []byte
+			for i := 0; i < b.N; i++ {
+				rec, _ = e.encodeRecord(rec, data.ps)
+			}
+			b.ReportMetric(float64(len(rec)-1-blockHeaderLen)/float64(len(data.ps)), "B/pkt")
+		})
+		for _, c := range []Codec{CodecDeflate, CodecPacked} {
 			b.Run(data.name+"/"+c.String(), func(b *testing.B) {
-				e := blockEncoder{level: flate.DefaultCompression}
-				var rec []byte
+				var payload []byte
 				for i := 0; i < b.N; i++ {
-					rec, _, _ = e.encodeRecord(rec, data.ps, c)
+					payload, _, _ = encodeBlockAs(b, data.ps, c)
 				}
-				b.ReportMetric(float64(len(rec)-1-blockHeaderLen)/float64(len(data.ps)), "B/pkt")
+				b.ReportMetric(float64(len(payload))/float64(len(data.ps)), "B/pkt")
 			})
 		}
 		b.Run(data.name+"/dict-reference", func(b *testing.B) {
@@ -496,19 +482,5 @@ func BenchmarkBlockEncode(b *testing.B) {
 				refDictColumns(appendValidity(nil, data.ps), data.ps)
 			}
 		})
-	}
-}
-
-// TestParseCodec pins the codec names the CLIs accept: every codec
-// round-trips through its name, and the error for an unknown name lists
-// all three.
-func TestParseCodec(t *testing.T) {
-	for c := Codec(0); c < numCodecs; c++ {
-		if got, err := ParseCodec(c.String()); err != nil || got != c {
-			t.Errorf("ParseCodec(%q) = %v, %v", c.String(), got, err)
-		}
-	}
-	if _, err := ParseCodec("zstd"); err == nil || !strings.Contains(err.Error(), "dict, deflate or packed") {
-		t.Errorf("ParseCodec(zstd) error %v, want one naming every codec", err)
 	}
 }

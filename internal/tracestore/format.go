@@ -16,16 +16,22 @@
 // selected per block by the record tag:
 //
 //   - tag 0x01, DEFLATE: a validity bitmap followed by interleaved
-//     (src, dst) uvarint pairs (see encodeBlockRaw for why pairs beat
-//     delta encoding on shuffled heavy-tailed traffic), DEFLATE-
-//     compressed as one unit;
+//     (src, dst) uvarint pairs, DEFLATE-compressed as one unit. That
+//     bitmap-plus-varints form is the canonical raw encoding whose
+//     length every block header records as rawLen, whatever the codec.
+//     DEFLATE blocks are read, never written: archives from earlier
+//     writers keep replaying, and palu-trace convert re-archives them;
 //   - tag 0x03, packed: the PTRC2 packed-column codec (see packed.go),
 //     bit-packed FOR/PFOR miniblocks decodable without an entropy coder;
 //   - tag 0x04, dict: the dictionary codec (see dict.go), each distinct
 //     (src, dst) pair of the block stored once and each packet as its
-//     pair's rank, in the packed codec's miniblocks. It is what the zero
-//     WriterOptions write; a block whose packed payload is strictly
-//     smaller is written as a tag 0x03 block instead.
+//     pair's rank, in the packed codec's miniblocks.
+//
+// The writer has one codec policy, with no option to change it: each
+// block is written as a dict block or, when its packed payload is
+// strictly smaller, as a packed block. The choice depends on the
+// block's packets only, so archives are byte-identical at any writer
+// worker count.
 //
 // Archives may mix codecs. The per-block CRC (Castagnoli) is over the
 // stored payload, so corruption is detected before any decode work. The
@@ -74,8 +80,8 @@ const (
 	footerLen = 8 + 4 + 4 + 8
 
 	// DefaultBlockSize is the default number of packets per block: large
-	// enough to amortize DEFLATE framing, small enough that a worker
-	// pool's in-flight blocks stay a few megabytes.
+	// enough to amortize a block's header and dictionary, small enough
+	// that a worker pool's in-flight blocks stay a few megabytes.
 	DefaultBlockSize = 1 << 16
 
 	// maxBlockPackets and maxBlockBytes bound what a reader will accept
@@ -91,23 +97,24 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // carried by the block's tag byte (tagBlock = DEFLATE, tagBlockPacked =
 // packed columns, tagBlockDict = dictionary) and echoed in the trailing
 // index, so archives may mix codecs block by block and pre-codec
-// `PTRCBLK1` archives keep reading bit-for-bit. The Go values are not
-// the on-disk ids: tags come from tagForCodec and index codec-section
-// ids from codecIDs, which keep the ids every earlier archive used.
+// `PTRCBLK1` archives keep reading bit-for-bit. Readers accept all
+// three; the writer chooses between dict and packed per block. The Go
+// values are not the on-disk ids: tags come from tagForCodec and index
+// codec-section ids from codecIDs, which keep the ids every earlier
+// archive used.
 type Codec uint8
 
 const (
 	// CodecDict is the dictionary block codec (see dict.go): each
 	// distinct (src, dst) pair stored once in a sorted dictionary, each
-	// packet as its pair's rank. It is the zero value and so the
-	// default; a block whose packed-column payload would be strictly
-	// smaller is written as a CodecPacked block instead.
+	// packet as its pair's rank. The writer's codec, unless the
+	// packed-column payload of a block is strictly smaller.
 	CodecDict Codec = iota
-	// CodecDeflate is the original DEFLATE block codec.
+	// CodecDeflate is the original DEFLATE block codec, read only.
 	CodecDeflate
 	// CodecPacked is the PTRC2 packed-column codec (see packed.go):
 	// per-column FOR/PFOR bit-packed miniblocks decodable without an
-	// entropy coder.
+	// entropy coder. The writer's fallback when it beats dict.
 	CodecPacked
 
 	numCodecs
@@ -127,7 +134,7 @@ func codecForID(id uint64) (Codec, bool) {
 	return 0, false
 }
 
-// String names the codec as accepted by ParseCodec.
+// String names the codec as reported by Info and palu-trace info.
 func (c Codec) String() string {
 	switch c {
 	case CodecDict:
@@ -139,17 +146,6 @@ func (c Codec) String() string {
 	default:
 		return fmt.Sprintf("codec(%d)", uint8(c))
 	}
-}
-
-// ParseCodec parses a codec name as used by CLI flags ("dict",
-// "deflate", "packed").
-func ParseCodec(s string) (Codec, error) {
-	for c := Codec(0); c < numCodecs; c++ {
-		if s == c.String() {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("tracestore: unknown codec %q (want dict, deflate or packed)", s)
 }
 
 // tagForCodec maps a codec to its block record tag byte.
@@ -206,36 +202,6 @@ type blockInfo struct {
 	rawLen  int   // uncompressed payload bytes
 	compLen int   // compressed payload bytes as stored
 	codec   Codec // block codec (from the tag byte / index codec section)
-}
-
-// encodeBlockRaw appends the uncompressed encoding of packets to dst:
-// validity bitmap (LSB-first), then interleaved (src, dst) uvarint
-// pairs. Interleaved direct varints deliberately beat the textbook
-// delta encoding here: observatory traffic is shuffled, so consecutive
-// packets share no locality for deltas to shrink, while heavy-tailed ID
-// popularity means hub IDs are small (early PALU core nodes) and
-// popular (src, dst) pairs recur verbatim — byte patterns DEFLATE's
-// LZ77/Huffman stages exploit directly. Measured on a 200k-packet
-// 50k-node synthetic site trace: zigzag deltas 4.60 B/packet after
-// DEFLATE vs 3.26 B/packet for interleaved pairs.
-func encodeBlockRaw(dst []byte, packets []stream.Packet) []byte {
-	n := len(packets)
-	base := len(dst)
-	nb := (n + 7) / 8
-	for i := 0; i < nb; i++ {
-		dst = append(dst, 0)
-	}
-	for i, p := range packets {
-		if p.Valid {
-			dst[base+i/8] |= 1 << uint(i%8)
-		}
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	for _, p := range packets {
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(p.Src))]...)
-		dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(p.Dst))]...)
-	}
-	return dst
 }
 
 // decodeBlockRaw decodes an uncompressed block payload of n packets into
@@ -596,14 +562,13 @@ type archiveIndex struct {
 	valid   int64 // valid packets in the archive
 }
 
-// encodeIndexPayload serializes the block table as uvarints. When every
-// block uses the original DEFLATE codec, the payload is byte-identical
-// to the pre-codec format; otherwise a run-length codec section —
-// (run length, codec id) uvarint pairs covering all blocks in order,
-// ids from codecIDs — is appended after the entries. Pre-codec readers
-// never see the section (they would reject it as trailing bytes, which
-// is the correct failure for an archive whose codecs they cannot
-// decode), and the new parser treats its absence as all-DEFLATE.
+// encodeIndexPayload serializes the block table as uvarints, followed
+// by a run-length codec section: (run length, codec id) uvarint pairs
+// covering all blocks in order, ids from codecIDs. Archives of the
+// pre-codec format, all DEFLATE, carry no section, and the parser
+// treats its absence as all-DEFLATE; pre-codec readers reject the
+// section as trailing bytes, which is the correct failure for an
+// archive whose codecs they cannot decode.
 func encodeIndexPayload(blocks []blockInfo, total, valid int64) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	put := func(dst []byte, v uint64) []byte {
@@ -612,18 +577,11 @@ func encodeIndexPayload(blocks []blockInfo, total, valid int64) []byte {
 	b := put(nil, uint64(len(blocks)))
 	b = put(b, uint64(total))
 	b = put(b, uint64(valid))
-	allDeflate := true
 	for _, bl := range blocks {
 		b = put(b, uint64(bl.packets))
 		b = put(b, uint64(bl.valid))
 		b = put(b, uint64(bl.rawLen))
 		b = put(b, uint64(bl.compLen))
-		if bl.codec != CodecDeflate {
-			allDeflate = false
-		}
-	}
-	if allDeflate {
-		return b
 	}
 	for i := 0; i < len(blocks); {
 		j := i + 1

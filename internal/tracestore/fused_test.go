@@ -69,7 +69,7 @@ func TestFusedReplayEquivalence(t *testing.T) {
 	ps := synthPackets(42, n, 3000, 13)
 	for _, codec := range []Codec{CodecDeflate, CodecPacked, CodecDict} {
 		t.Run(codec.String(), func(t *testing.T) {
-			data := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: codec})
+			data := archiveOf(t, ps, block, codec)
 			fusedReplayEquivalence(t, data, nv)
 		})
 	}

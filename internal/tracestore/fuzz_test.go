@@ -28,13 +28,7 @@ func fuzzCodecArchive(tb testing.TB, packets, blockSize int, codec Codec) []byte
 			Valid: r.Intn(10) != 0,
 		}
 	}
-	var buf bytes.Buffer
-	if _, err := Record(&buf, stream.NewSliceSource(ps), WriterOptions{
-		BlockSize: blockSize, Codec: codec,
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	return writeCodecArchive(tb, ps, blockSize, codec)
 }
 
 // fuzzDictArchive builds a small valid archive of dict blocks for the

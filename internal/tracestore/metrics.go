@@ -14,13 +14,16 @@ import "hybridplaw/internal/obs"
 type Metrics struct {
 	reg *obs.Registry
 
-	// BlocksRead counts blocks CRC-checked and inflated;
-	// BlocksWritten counts blocks deflated and flushed.
+	// BlocksRead counts blocks CRC-checked and decoded, of every codec;
+	// BlocksWritten counts blocks encoded (or passed through) and
+	// written.
 	BlocksRead    *obs.Counter
 	BlocksWritten *obs.Counter
 
 	// Read/Write byte totals measure the block payloads crossing the
-	// codecs, before and after compression (headers excluded).
+	// codecs (headers excluded): the stored payload bytes, and the
+	// length of the canonical raw encoding of the same packets that
+	// every block header records, whatever its codec.
 	ReadCompressedBytes  *obs.Counter
 	ReadRawBytes         *obs.Counter
 	WriteRawBytes        *obs.Counter
@@ -35,9 +38,8 @@ type Metrics struct {
 	RawBufAlloc *obs.Counter
 
 	// InflateTime spans one DEFLATE block decompression (CRC check
-	// included); DeflateTime spans one DEFLATE block compression.
+	// included). DEFLATE blocks are read, never written.
 	InflateTime *obs.Timer
-	DeflateTime *obs.Timer
 
 	// PackedBlocksRead / PackedBlocksWritten count the packed-column
 	// subset of BlocksRead / BlocksWritten; the DEFLATE counts are the
@@ -49,17 +51,15 @@ type Metrics struct {
 	PackedWrittenBytes  *obs.Counter
 
 	// UnpackTime spans one packed block's CRC check and staging (the
-	// bit-unpack itself is fused into the consumer's decode walk);
-	// PackTime spans one packed block encode.
+	// bit-unpack itself is fused into the consumer's decode walk).
 	UnpackTime *obs.Timer
-	PackTime   *obs.Timer
 
 	// DictBlocksRead / DictBlocksWritten, DictReadBytes /
 	// DictWrittenBytes are the dict-codec counterparts of the packed
 	// counters. DictDecodeTime spans one dict block's CRC check and
-	// staging; DictEncodeTime spans one block encode under CodecDict,
-	// including the size comparison that may write it as a packed block
-	// (counted under PackedBlocksWritten, not PackTime).
+	// staging; DictEncodeTime spans every block encode, including the
+	// size comparison that may write it as a packed block (counted under
+	// PackedBlocksWritten).
 	DictBlocksRead    *obs.Counter
 	DictBlocksWritten *obs.Counter
 	DictReadBytes     *obs.Counter
@@ -94,15 +94,15 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		reg: reg,
 		BlocksRead: reg.Counter("palu_ptrc_blocks_read_total",
-			"archive blocks CRC-checked and inflated"),
+			"archive blocks CRC-checked and decoded"),
 		BlocksWritten: reg.Counter("palu_ptrc_blocks_written_total",
-			"archive blocks deflated and flushed"),
+			"archive blocks written, encoded or passed through"),
 		ReadCompressedBytes: reg.Counter("palu_ptrc_read_compressed_bytes_total",
 			"compressed block payload bytes read"),
 		ReadRawBytes: reg.Counter("palu_ptrc_read_raw_bytes_total",
-			"raw block payload bytes produced by inflate"),
+			"canonical raw-encoding bytes of the blocks read"),
 		WriteRawBytes: reg.Counter("palu_ptrc_write_raw_bytes_total",
-			"raw block payload bytes fed to deflate"),
+			"canonical raw-encoding bytes of the blocks written"),
 		WriteCompressedBytes: reg.Counter("palu_ptrc_write_compressed_bytes_total",
 			"compressed block payload bytes written"),
 		CRCFailures: reg.Counter("palu_ptrc_crc_failures_total",
@@ -113,8 +113,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"decompress target buffers allocated or grown"),
 		InflateTime: reg.Timer("palu_ptrc_inflate_ns",
 			"DEFLATE block CRC check + decompression time", 0),
-		DeflateTime: reg.Timer("palu_ptrc_deflate_ns",
-			"DEFLATE block compression time", 0),
 		PackedBlocksRead: reg.Counter("palu_ptrc_packed_blocks_read_total",
 			"packed-column blocks CRC-checked and staged"),
 		PackedBlocksWritten: reg.Counter("palu_ptrc_packed_blocks_written_total",
@@ -125,8 +123,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"stored packed-column payload bytes written"),
 		UnpackTime: reg.Timer("palu_ptrc_unpack_ns",
 			"packed block CRC check + staging time", 0),
-		PackTime: reg.Timer("palu_ptrc_pack_ns",
-			"packed block encode time", 0),
 		DictBlocksRead: reg.Counter("palu_ptrc_dict_blocks_read_total",
 			"dict blocks CRC-checked and staged"),
 		DictBlocksWritten: reg.Counter("palu_ptrc_dict_blocks_written_total",
@@ -138,7 +134,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		DictDecodeTime: reg.Timer("palu_ptrc_dict_decode_ns",
 			"dict block CRC check + staging time", 0),
 		DictEncodeTime: reg.Timer("palu_ptrc_dict_encode_ns",
-			"block encode time under the dict codec", 0),
+			"block encode time (dict, or its packed fallback)", 0),
 		CompressQueueDepth: reg.Gauge("palu_ptrc_compress_queue_depth",
 			"blocks sealed for the write pipeline and not yet committed"),
 		CompressWorkersBusy: reg.Gauge("palu_ptrc_compress_workers_busy",
@@ -183,19 +179,12 @@ func (m *Metrics) decodeStart(codec Codec) obs.Span {
 	}
 }
 
-// encodeStart opens the per-codec encode span for the codec a block is
-// encoded under: DeflateTime, PackTime or DictEncodeTime.
-func (m *Metrics) encodeStart(codec Codec) obs.Span {
-	switch {
-	case m == nil:
+// encodeStart opens the span of one block encode, DictEncodeTime.
+func (m *Metrics) encodeStart() obs.Span {
+	if m == nil {
 		return obs.Span{}
-	case codec == CodecPacked:
-		return m.PackTime.Start()
-	case codec == CodecDict:
-		return m.DictEncodeTime.Start()
-	default:
-		return m.DeflateTime.Start()
 	}
+	return m.DictEncodeTime.Start()
 }
 
 func (m *Metrics) blockRead(codec Codec, compLen, rawLen int, reused bool) {

@@ -14,16 +14,15 @@ import (
 // TestMetricsRoundTrip pins the exact block/byte accounting of an
 // archive written and replayed with instrumentation: write counters
 // match the archive's index totals, and the sequential read counters
-// mirror the write counters exactly.
+// mirror the write counters exactly. A DEFLATE archive, which only
+// earlier writers produced, is read with the same exact accounting.
 func TestMetricsRoundTrip(t *testing.T) {
 	ps := synthPackets(11, 3000, 200, 7)
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 
 	var buf bytes.Buffer
-	if _, err := Record(&buf, stream.NewSliceSource(ps), WriterOptions{
-		BlockSize: 512, Codec: CodecDeflate, Metrics: m,
-	}); err != nil {
+	if _, err := Record(&buf, stream.NewSliceSource(ps), WriterOptions{BlockSize: 512, Metrics: m}); err != nil {
 		t.Fatal(err)
 	}
 	info, err := Info(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
@@ -39,11 +38,28 @@ func TestMetricsRoundTrip(t *testing.T) {
 	if got := m.WriteCompressedBytes.Value(); got != info.CompressedBytes {
 		t.Errorf("write compressed bytes = %d, index says %d", got, info.CompressedBytes)
 	}
-	if got := m.DeflateTime.Spans(); got != int64(info.Blocks) {
-		t.Errorf("deflate spans = %d, want %d", got, info.Blocks)
+	if got := m.DictEncodeTime.Spans(); got != int64(info.Blocks) {
+		t.Errorf("encode spans = %d, want %d", got, info.Blocks)
 	}
+	replayCounted(t, buf.Bytes(), len(ps), m)
 
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	deflate := writeCodecArchive(t, ps, 512, CodecDeflate)
+	m = NewMetrics(obs.NewRegistry())
+	replayCounted(t, deflate, len(ps), m)
+	if got := m.InflateTime.Spans(); got != m.BlocksRead.Value() {
+		t.Errorf("inflate spans = %d, want one per block read (%d)", got, m.BlocksRead.Value())
+	}
+}
+
+// replayCounted replays archive through an instrumented sequential
+// reader and checks the read counters against the archive's index.
+func replayCounted(t *testing.T, archive []byte, packets int, m *Metrics) {
+	t.Helper()
+	info, err := Info(bytes.NewReader(archive), int64(len(archive)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +74,8 @@ func TestMetricsRoundTrip(t *testing.T) {
 	if r.Err() != nil {
 		t.Fatal(r.Err())
 	}
-	if n != len(ps) {
-		t.Fatalf("replayed %d packets, want %d", n, len(ps))
+	if n != packets {
+		t.Fatalf("replayed %d packets, want %d", n, packets)
 	}
 	if got := m.BlocksRead.Value(); got != int64(info.Blocks) {
 		t.Errorf("blocks read counter = %d, want %d", got, info.Blocks)
@@ -69,9 +85,6 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}
 	if got := m.ReadRawBytes.Value(); got != info.RawBytes {
 		t.Errorf("read raw bytes = %d, want %d", got, info.RawBytes)
-	}
-	if got := m.InflateTime.Spans(); got != int64(info.Blocks) {
-		t.Errorf("inflate spans = %d, want %d", got, info.Blocks)
 	}
 	if got := m.CRCFailures.Value(); got != 0 {
 		t.Errorf("CRC failures = %d on a clean archive", got)
@@ -123,16 +136,17 @@ func TestMetricsParallelReader(t *testing.T) {
 }
 
 // TestMetricsParallelWriter pins that the pipelined writer's accounting
-// is exact at any worker count: block/byte counters and encode-timer
-// span counts match the serial writer's one for one (the pipeline moves
-// where encoding happens, not how much of it happens), and the
-// queue-depth and worker-occupancy gauges settle back to zero once
-// Close drains the pipeline.
+// is exact at any worker count: block/byte counters, per-codec block
+// counts and encode-timer span counts match the serial writer's one for
+// one (the pipeline moves where encoding happens, not how much of it
+// happens), and the queue-depth and worker-occupancy gauges settle back
+// to zero once Close drains the pipeline.
 func TestMetricsParallelWriter(t *testing.T) {
-	ps := synthPackets(29, 257*11+63, 300, 7)
-	flips := map[int]Codec{500: CodecPacked, 1500: CodecDeflate, 2200: CodecPacked}
+	// Unique pairs, then repeated ones, then unique again: packed and
+	// dict blocks, with codec changes inside blocks.
+	ps := append(append(uniquePairs(257*4+63), repeatedPairs(257*5)...), uniquePairs(400)...)
 	type counts struct {
-		blocks, raw, comp, deflate, pack, dict int64
+		blocks, raw, comp, packed, dict, spans int64
 	}
 	measure := func(workers int) counts {
 		t.Helper()
@@ -141,10 +155,7 @@ func TestMetricsParallelWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, p := range ps {
-			if c, ok := flips[i]; ok {
-				w.SetCodec(c)
-			}
+		for _, p := range ps {
 			if err := w.Write(p); err != nil {
 				t.Fatal(err)
 			}
@@ -159,20 +170,21 @@ func TestMetricsParallelWriter(t *testing.T) {
 			t.Errorf("workers=%d: busy workers = %d after Close, want 0", workers, b)
 		}
 		return counts{
-			blocks:  m.BlocksWritten.Value(),
-			raw:     m.WriteRawBytes.Value(),
-			comp:    m.WriteCompressedBytes.Value(),
-			deflate: m.DeflateTime.Spans(),
-			pack:    m.PackTime.Spans(),
-			dict:    m.DictEncodeTime.Spans(),
+			blocks: m.BlocksWritten.Value(),
+			raw:    m.WriteRawBytes.Value(),
+			comp:   m.WriteCompressedBytes.Value(),
+			packed: m.PackedBlocksWritten.Value(),
+			dict:   m.DictBlocksWritten.Value(),
+			spans:  m.DictEncodeTime.Spans(),
 		}
 	}
 	serial := measure(1)
-	if serial.blocks == 0 || serial.deflate == 0 || serial.pack == 0 || serial.dict == 0 {
-		t.Fatalf("serial baseline did not exercise every codec: %+v", serial)
+	if serial.packed == 0 || serial.dict == 0 {
+		t.Fatalf("serial baseline did not write both codecs: %+v", serial)
 	}
-	if serial.deflate+serial.pack+serial.dict != serial.blocks {
-		t.Fatalf("serial encode spans %d+%d+%d != blocks %d", serial.deflate, serial.pack, serial.dict, serial.blocks)
+	if serial.packed+serial.dict != serial.blocks || serial.spans != serial.blocks {
+		t.Fatalf("serial packed %d + dict %d blocks, %d encode spans; want %d each",
+			serial.packed, serial.dict, serial.spans, serial.blocks)
 	}
 	for _, workers := range []int{2, 4} {
 		if got := measure(workers); got != serial {

@@ -10,7 +10,8 @@ package tracestore
 // list for heavy-tail outliers (PFOR-style). Decode is a mask-and-
 // shift walk over 64-bit words — no inflate, no uvarint walk — so the
 // fused DecodeInto path deposits src<<32|dst link keys straight from
-// the packed words.
+// the packed words. The writer now emits packed blocks only as the dict
+// codec's per-block fallback (dict.go).
 //
 // # Block payload layout (tag 0x03, same 16-byte header as DEFLATE)
 //
@@ -37,12 +38,12 @@ package tracestore
 // exact-bounds 64-bit loads in the decoder.
 //
 // Frame-of-reference beats delta encoding here for the same reason
-// direct varints beat zigzag deltas under DEFLATE (see encodeBlockRaw):
-// observatory traffic is shuffled, so consecutive packets share no
-// locality and successive deltas are as wide as the ids themselves,
-// while the per-miniblock minimum tracks the id range actually in use
-// and heavy-tailed popularity keeps most deltas narrow with a short
-// exception tail — exactly the split PFOR encodes cheaply.
+// direct varints beat zigzag deltas under DEFLATE: observatory traffic
+// is shuffled, so consecutive packets share no locality and successive
+// deltas are as wide as the ids themselves, while the per-miniblock
+// minimum tracks the id range actually in use and heavy-tailed
+// popularity keeps most deltas narrow with a short exception tail —
+// exactly the split PFOR encodes cheaply.
 //
 // The block header's rawLen field stores the length of the canonical
 // raw encoding (bitmap + uvarint pairs) of the same packets, not the
@@ -420,15 +421,6 @@ func unpackBitsChecked(words []byte, m int, b uint, ref uint64, out []uint32) er
 		out[i] = uint32(v)
 	}
 	return nil
-}
-
-// encodeBlockPacked appends the packed-column encoding of packets to
-// dst and returns the canonical raw-encoding length of the same packets
-// (the rawLen the block header stores, keeping size accounting
-// comparable across codecs).
-func encodeBlockPacked(dst []byte, packets []stream.Packet) ([]byte, int) {
-	dst = appendValidity(dst, packets)
-	return appendPackedColumns(dst, packets), canonicalRawLen(packets)
 }
 
 // canonicalRawLen is the length of the DEFLATE codec's raw encoding of

@@ -12,43 +12,13 @@ import (
 	"hybridplaw/internal/xrand"
 )
 
-// mixedCodecs is the per-block codec cycle of writeMixedArchive.
-var mixedCodecs = [...]Codec{CodecDeflate, CodecPacked, CodecDict}
-
-// writeMixedArchive archives packets cycling the codec per block
-// (DEFLATE, packed, dict, DEFLATE, ...) via SetCodec, exercising the
-// mixed-codec index section and every fused walker in one stream.
-func writeMixedArchive(t *testing.T, ps []stream.Packet, blockSize int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WriterOptions{BlockSize: blockSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range ps {
-		if i%blockSize == 0 {
-			codec := mixedCodecs[(i/blockSize)%len(mixedCodecs)]
-			if err := w.SetCodec(codec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Write(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestPackedRoundTripSequential(t *testing.T) {
 	// Sizes around block AND miniblock-group boundaries: a group is 256
 	// packets, so exercise partial groups, exactly one group, one over.
 	const block = 1 << 10
 	for _, n := range []int{1, 2, 255, 256, 257, block - 1, block, block + 1, 3*block + 300} {
 		ps := synthPackets(uint64(n), n, 1000, 7)
-		data := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: CodecPacked})
+		data := writeCodecArchive(t, ps, block, CodecPacked)
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -60,7 +30,7 @@ func TestPackedRoundTripSequential(t *testing.T) {
 func TestPackedRoundTripParallel(t *testing.T) {
 	const block = 300 // deliberately misaligned with the 256-packet group
 	ps := synthPackets(3, 10*block+99, 5000, 11)
-	data := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: CodecPacked})
+	data := writeCodecArchive(t, ps, block, CodecPacked)
 	for _, workers := range []int{1, 2, 4, 7} {
 		r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
 			ParallelOptions{Workers: workers})
@@ -95,7 +65,7 @@ func TestPackedRoundTripProperty(t *testing.T) {
 		}
 		var data []byte
 		if rng.Bernoulli(0.5) {
-			data = writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: CodecPacked})
+			data = writeCodecArchive(t, ps, block, CodecPacked)
 		} else {
 			data = writeMixedArchive(t, ps, block)
 		}
@@ -136,7 +106,7 @@ func TestValidityRLERoundTrip(t *testing.T) {
 		for i := range ps {
 			ps[i] = stream.Packet{Src: uint32(i % 37), Dst: uint32(i % 11), Valid: c.valid(i)}
 		}
-		data := writeArchive(t, ps, WriterOptions{BlockSize: 1 << 11, Codec: CodecPacked})
+		data := writeCodecArchive(t, ps, 1<<11, CodecPacked)
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -227,9 +197,9 @@ func TestMixedCodecReplayEquivalence(t *testing.T) {
 	)
 	ps := synthPackets(43, n, 3000, 13)
 	archives := map[string][]byte{
-		"deflate": writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: CodecDeflate}),
-		"packed":  writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: CodecPacked}),
-		"dict":    writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: CodecDict}),
+		"deflate": writeCodecArchive(t, ps, block, CodecDeflate),
+		"packed":  writeCodecArchive(t, ps, block, CodecPacked),
+		"dict":    writeArchive(t, ps, WriterOptions{BlockSize: block}),
 		"mixed":   writeMixedArchive(t, ps, block),
 	}
 
@@ -306,8 +276,8 @@ func TestPackedInfo(t *testing.T) {
 		}
 		return p
 	}
-	deflatePath := write("d.ptrc", writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecDeflate}))
-	packedPath := write("p.ptrc", writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecPacked}))
+	deflatePath := write("d.ptrc", writeCodecArchive(t, ps, 512, CodecDeflate))
+	packedPath := write("p.ptrc", writeCodecArchive(t, ps, 512, CodecPacked))
 	dictPath := write("k.ptrc", writeArchive(t, ps, WriterOptions{BlockSize: 512}))
 	mixedPath := write("m.ptrc", writeMixedArchive(t, ps, 512))
 
@@ -378,45 +348,51 @@ func TestPackedInfo(t *testing.T) {
 	}
 }
 
-// TestTranscodePTRC pins the migration path: deflate → packed → deflate
-// preserves the exact packet sequence, and the transcoded archive
-// reports the expected codec.
-func TestTranscodePTRC(t *testing.T) {
-	ps := synthPackets(23, 5000, 2000, 6)
-	orig := writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecDeflate})
+// TestTranscodeArchiveMatchesRecord pins the index-driven transcode
+// against decoding and re-recording: on an archive of packed and dict
+// blocks with a partial final block, TranscodeArchive writes exactly
+// what Record over a Reader of the archive writes, at the source block
+// size (where that is the source itself) and at another.
+func TestTranscodeArchiveMatchesRecord(t *testing.T) {
+	const block = 512
+	ps := append(uniquePairs(2*block+100), repeatedPairs(3*block+37)...)
+	src := writeArchive(t, ps, WriterOptions{BlockSize: block})
+	if info, err := Info(bytes.NewReader(src), int64(len(src))); err != nil || info.PackedBlocks == 0 || info.DictBlocks == 0 {
+		t.Fatalf("source archive codec mix %s (%v), want packed and dict blocks", info.CodecMix(), err)
+	}
+	for _, size := range []int{block, 700} {
+		opts := WriterOptions{BlockSize: size}
+		var got bytes.Buffer
+		n, err := TranscodeArchive(bytes.NewReader(src), int64(len(src)), &got, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(len(ps)) {
+			t.Fatalf("block %d: transcoded %d packets, want %d", size, n, len(ps))
+		}
+		if !bytes.Equal(got.Bytes(), recordArchive(t, src, opts)) {
+			t.Errorf("block %d: TranscodeArchive differs from Record over a Reader", size)
+		}
+		if size == block && !bytes.Equal(got.Bytes(), src) {
+			t.Errorf("transcode at the source block size is not the source")
+		}
+		assertSameTrace(t, replayAll(t, got.Bytes()), ps)
+	}
+}
 
-	var packed bytes.Buffer
-	n, err := TranscodePTRC(bytes.NewReader(orig), &packed,
-		WriterOptions{BlockSize: 512, Codec: CodecPacked})
+// recordArchive re-records the archive src through a sequential Reader
+// under opts: the decode-and-re-encode reference for TranscodeArchive.
+func recordArchive(t *testing.T, src []byte, opts WriterOptions) []byte {
+	t.Helper()
+	r, err := NewReader(bytes.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(len(ps)) {
-		t.Fatalf("transcode converted %d packets, want %d", n, len(ps))
-	}
-	info, err := Info(bytes.NewReader(packed.Bytes()), int64(packed.Len()))
-	if err != nil {
+	var buf bytes.Buffer
+	if _, err := Record(&buf, r, opts); err != nil {
 		t.Fatal(err)
 	}
-	if info.CodecMix() != "packed" {
-		t.Errorf("transcoded codec mix = %q", info.CodecMix())
-	}
-	r, err := NewReader(bytes.NewReader(packed.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameTrace(t, drain(t, r), ps)
-
-	var back bytes.Buffer
-	if _, err := TranscodePTRC(bytes.NewReader(packed.Bytes()), &back,
-		WriterOptions{BlockSize: 512, Codec: CodecDeflate}); err != nil {
-		t.Fatal(err)
-	}
-	// Same packets, same block size, same codec: the round-tripped
-	// archive is byte-identical to the original.
-	if !bytes.Equal(back.Bytes(), orig) {
-		t.Error("deflate → packed → deflate transcode is not byte-identical")
-	}
+	return buf.Bytes()
 }
 
 // TestPackedCorruption runs the damaged-archive invariants over packed
@@ -428,8 +404,8 @@ func TestPackedCorruption(t *testing.T) {
 		name string
 		data []byte
 	}{
-		{"packed", writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecPacked})},
-		{"dict", writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecDict})},
+		{"packed", writeCodecArchive(t, ps, 512, CodecPacked)},
+		{"dict", writeArchive(t, ps, WriterOptions{BlockSize: 512})},
 		{"mixed", writeMixedArchive(t, ps, 512)},
 	} {
 		data := tc.data
@@ -471,40 +447,43 @@ func TestBlockHeaderCodecPlausibility(t *testing.T) {
 	// — the payload is not valid DEFLATE, and the reader must fail
 	// cleanly rather than misinterpret it.
 	ps := synthPackets(33, 1000, 200, 0)
-	data := writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecPacked})
+	data := writeCodecArchive(t, ps, 512, CodecPacked)
 	mutated := append([]byte(nil), data...)
 	mutated[len(fileMagic)] = tagBlock
 	expectCorrupt(t, "packed block retagged deflate (seq)", sequentialErr(mutated))
 	expectCorrupt(t, "packed block retagged deflate (par)", parallelErr(mutated))
 }
 
-// TestMetricsPacked pins the per-codec metrics split: a packed archive
-// lands every block in the packed counters and timers, none in the
-// DEFLATE ones, and the canonical-raw accounting invariant
-// (ReadRawBytes == info.RawBytes) holds for the packed codec too.
+// TestMetricsPacked pins the per-codec metrics split: an archive whose
+// blocks all fall back to packed columns lands every block in the
+// packed counters and timers, none in the dict or DEFLATE ones — its
+// encodes are still timed, as every encode is, under DictEncodeTime —
+// and the canonical-raw accounting invariant (ReadRawBytes ==
+// info.RawBytes) holds for the packed codec too.
 func TestMetricsPacked(t *testing.T) {
-	ps := synthPackets(25, 3000, 200, 7)
+	ps := uniquePairs(3000)
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 
 	var buf bytes.Buffer
-	if _, err := Record(&buf, stream.NewSliceSource(ps), WriterOptions{
-		BlockSize: 512, Codec: CodecPacked, Metrics: m,
-	}); err != nil {
+	if _, err := Record(&buf, stream.NewSliceSource(ps), WriterOptions{BlockSize: 512, Metrics: m}); err != nil {
 		t.Fatal(err)
 	}
 	info, err := Info(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if info.PackedBlocks != info.Blocks {
+		t.Fatalf("archive mix %s, want all packed", info.CodecMix())
+	}
 	if got := m.PackedBlocksWritten.Value(); got != int64(info.Blocks) {
 		t.Errorf("packed blocks written = %d, want %d", got, info.Blocks)
 	}
-	if got := m.PackTime.Spans(); got != int64(info.Blocks) {
-		t.Errorf("pack spans = %d, want %d", got, info.Blocks)
+	if got := m.DictEncodeTime.Spans(); got != int64(info.Blocks) {
+		t.Errorf("encode spans = %d, want %d", got, info.Blocks)
 	}
-	if got := m.DeflateTime.Spans(); got != 0 {
-		t.Errorf("deflate spans = %d on a packed archive", got)
+	if got := m.DictBlocksWritten.Value(); got != 0 {
+		t.Errorf("dict blocks written = %d on a packed archive", got)
 	}
 	if got := m.WriteRawBytes.Value(); got != info.RawBytes {
 		t.Errorf("write raw bytes = %d, index says %d", got, info.RawBytes)
@@ -544,24 +523,24 @@ func TestMetricsPacked(t *testing.T) {
 	}
 }
 
-// TestPackedSmallerAndLegacyIdentical pins the codec defaults and the
-// packed size budget. Zero-value options write exactly what explicit
-// CodecDict writes (the default changed from DEFLATE to dict on
-// purpose; TestLegacyCodecBytesPinned keeps the DEFLATE and packed
-// bytes themselves from moving). And the packed archive of a
-// replay-benchmark trace shape (uniform random IDs with a hot
-// destination subset, the palu-bench synthTrace distribution the 1.25x
-// size budget is defined on) stays within 1.25x of the DEFLATE archive.
-// Traces with heavy verbatim pair repetition compress further under
-// DEFLATE's LZ77 than any per-column FOR can — that trade is the point
-// of the codec, and the budget is pinned on the distribution the
-// acceptance names.
+// TestPackedSmallerAndLegacyIdentical pins the writer against the
+// reference framing and the packed size budget. Zero-value options
+// write exactly the archive writeCodecArchive frames from the dict
+// encoder, so the reference writer and the writer share one framing and
+// index (TestLegacyCodecBytesPinned keeps the DEFLATE and packed bytes
+// themselves from moving). And the packed archive of a replay-benchmark
+// trace shape (uniform random IDs with a hot destination subset, the
+// palu-bench synthTrace distribution the 1.25x size budget is defined
+// on) stays within 1.25x of the DEFLATE archive. Traces with heavy
+// verbatim pair repetition compress further under DEFLATE's LZ77 than
+// any per-column FOR can — that trade is the point of the codec, and
+// the budget is pinned on the distribution the acceptance names.
 func TestPackedSmallerAndLegacyIdentical(t *testing.T) {
 	ps := synthPackets(27, 40000, 8192, 9)
 	a := writeArchive(t, ps, WriterOptions{BlockSize: 4096})
-	b := writeArchive(t, ps, WriterOptions{BlockSize: 4096, Codec: CodecDict})
+	b := writeCodecArchive(t, ps, 4096, CodecDict)
 	if !bytes.Equal(a, b) {
-		t.Error("zero-value WriterOptions no longer byte-identical to explicit CodecDict")
+		t.Error("zero-value WriterOptions no longer byte-identical to the reference dict archive")
 	}
 
 	rng := xrand.New(20260807)
@@ -573,8 +552,8 @@ func TestPackedSmallerAndLegacyIdentical(t *testing.T) {
 		}
 		bench[i] = p
 	}
-	deflate := writeArchive(t, bench, WriterOptions{BlockSize: 4096, Codec: CodecDeflate})
-	packed := writeArchive(t, bench, WriterOptions{BlockSize: 4096, Codec: CodecPacked})
+	deflate := writeCodecArchive(t, bench, 4096, CodecDeflate)
+	packed := writeCodecArchive(t, bench, 4096, CodecPacked)
 	if limit := len(deflate) + len(deflate)/4; len(packed) > limit {
 		t.Errorf("packed archive %d bytes exceeds 1.25x deflate %d", len(packed), len(deflate))
 	}

@@ -10,16 +10,14 @@ import (
 // Pipelined PTRC writer (DESIGN.md §13) — the write-side mirror of
 // ParallelReader, built on the same per-block result slots. The ingest
 // goroutine (the caller of Writer.Write) seals packets into
-// block-sized batches, latching the writer's codec into each batch as
-// it seals, and queues the batch's slot in a FIFO of Workers+2 slots; a
-// pool of compress workers encodes batches into complete block records
-// in the slots' own buffers. When the FIFO is full, ingest commits the
+// block-sized batches and queues each batch's slot in a FIFO of
+// Workers+2 slots; a pool of compress workers encodes batches into
+// complete block records in the slots' own buffers. When the FIFO is full, ingest commits the
 // head record itself — waits for its slot, writes the record and
 // appends its index entry — and reuses that slot for the new batch;
 // Close commits the rest. Because the workers run the same blockEncoder
 // as the serial writer and records are written in FIFO order, the
-// archive bytes are identical to the serial writer's for every codec
-// mix.
+// archive bytes are identical to the serial writer's.
 //
 // Passthrough records (WriteEncodedBlock) are framed by ingest straight
 // into their slot, which enters the FIFO already filled.
@@ -36,16 +34,14 @@ type writePipeline struct {
 }
 
 // writeSlot is one record's place in the archive order, with the
-// buffers it reuses each time it is recycled. A worker fills rec, info
-// and err, then signals done; ingest reads them only after receiving
-// from done.
+// buffers it reuses each time it is recycled. A worker fills rec and
+// info, then signals done; ingest reads them only after receiving from
+// done.
 type writeSlot struct {
 	done    chan struct{}   // one signal per fill
 	packets []stream.Packet // batch to encode; swapped with ingest's buffer
-	codec   Codec
 	rec     []byte
 	info    blockInfo
-	err     error
 }
 
 func newWritePipeline(out io.Writer, opts WriterOptions) *writePipeline {
@@ -80,9 +76,9 @@ func (p *writePipeline) slot() (*writeSlot, error) {
 	return s, p.err
 }
 
-// submitBatch seals the writer's buffered packets as the next record —
-// latching the current codec — and hands the ingest side the slot's
-// spare batch buffer. Called on the ingest goroutine only.
+// submitBatch seals the writer's buffered packets as the next record
+// and hands the ingest side the slot's spare batch buffer. Called on
+// the ingest goroutine only.
 func (p *writePipeline) submitBatch(w *Writer) error {
 	s, err := p.slot()
 	if err != nil {
@@ -90,7 +86,6 @@ func (p *writePipeline) submitBatch(w *Writer) error {
 		return err
 	}
 	s.packets, w.buf = w.buf, s.packets[:0]
-	s.codec = w.codec
 	p.inflight <- s
 	p.jobs <- s
 	p.opts.Metrics.queueDepth(1)
@@ -106,7 +101,7 @@ func (p *writePipeline) submitPre(w *Writer, b EncodedBlock, info blockInfo) err
 		w.err = err
 		return err
 	}
-	s.rec, s.info, s.err = encodedRecord(s.rec, b), info, nil
+	s.rec, s.info = encodedRecord(s.rec, b), info
 	s.done <- struct{}{}
 	p.inflight <- s
 	p.opts.Metrics.queueDepth(1)
@@ -116,10 +111,10 @@ func (p *writePipeline) submitPre(w *Writer, b EncodedBlock, info blockInfo) err
 // worker encodes batches into complete block records.
 func (p *writePipeline) worker() {
 	defer p.wg.Done()
-	enc := blockEncoder{level: p.opts.Level, m: p.opts.Metrics}
+	enc := blockEncoder{m: p.opts.Metrics}
 	for s := range p.jobs {
 		p.opts.Metrics.workerBusy(1)
-		s.rec, s.info, s.err = enc.encodeRecord(s.rec[:0], s.packets, s.codec)
+		s.rec, s.info = enc.encodeRecord(s.rec[:0], s.packets)
 		p.opts.Metrics.workerBusy(-1)
 		s.done <- struct{}{}
 	}
@@ -140,9 +135,7 @@ func (p *writePipeline) commit(s *writeSlot) {
 	if p.err != nil {
 		return
 	}
-	if s.err != nil {
-		p.err = s.err
-	} else if _, err := p.out.Write(s.rec); err != nil {
+	if _, err := p.out.Write(s.rec); err != nil {
 		p.err = err
 	} else {
 		p.opts.Metrics.blockWritten(s.info.codec, s.info.rawLen, s.info.compLen)

@@ -12,10 +12,9 @@ import (
 	"hybridplaw/internal/stream"
 )
 
-// writeWith drives a Writer packet by packet over ps, applying any
-// SetCodec flips keyed by packet index just before that packet is
-// written, and returns the archive bytes.
-func writeWith(t *testing.T, ps []stream.Packet, opts WriterOptions, flips map[int]Codec) []byte {
+// writeWith drives a Writer packet by packet over ps and returns the
+// archive bytes.
+func writeWith(t *testing.T, ps []stream.Packet, opts WriterOptions) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, opts)
@@ -23,11 +22,6 @@ func writeWith(t *testing.T, ps []stream.Packet, opts WriterOptions, flips map[i
 		t.Fatalf("NewWriter: %v", err)
 	}
 	for i, p := range ps {
-		if c, ok := flips[i]; ok {
-			if err := w.SetCodec(c); err != nil {
-				t.Fatalf("SetCodec(%v) at packet %d: %v", c, i, err)
-			}
-		}
 		if err := w.Write(p); err != nil {
 			t.Fatalf("Write packet %d: %v", i, err)
 		}
@@ -50,56 +44,33 @@ func replayAll(t *testing.T, archive []byte) []stream.Packet {
 
 // TestParallelWriterEquivalence pins the tentpole property: the
 // pipelined writer produces archives byte-identical to the serial
-// writer at any worker count, across every codec, mid-stream SetCodec
-// flips at non-block boundaries, and a partial final block.
+// writer at any worker count, whether its blocks are dict blocks,
+// packed fallbacks or a mix of both switching mid-stream, with and
+// without a partial final block.
 func TestParallelWriterEquivalence(t *testing.T) {
 	const block = 257
 	ps := synthPackets(21, block*9+41, 700, 6) // 9 full blocks + partial tail
 	cases := []struct {
-		name  string
-		opts  WriterOptions
-		flips map[int]Codec
+		name string
+		ps   []stream.Packet
 	}{
-		{"deflate", WriterOptions{BlockSize: block, Codec: CodecDeflate}, nil},
-		{"packed", WriterOptions{BlockSize: block, Codec: CodecPacked}, nil},
-		{"dict", WriterOptions{BlockSize: block}, nil},
-		{"mixed", WriterOptions{BlockSize: block, Codec: CodecDeflate}, map[int]Codec{
-			// All flips land mid-block, so the latching rule (codec taken
-			// when the batch seals, buffered partial included) is what
-			// keeps serial and parallel output aligned.
-			300:  CodecPacked,
-			1000: CodecDeflate,
-			1400: CodecDict,
-			1700: CodecPacked,
-			2000: CodecDict,
-		}},
-		{"exact-blocks", WriterOptions{BlockSize: block}, nil}, // trimmed below: no tail
+		{"dict", ps},
+		{"packed", uniquePairs(block*9 + 41)},
+		// The codec changes with the traffic, mid-block, several times.
+		{"mixed", append(append(append(uniquePairs(300), repeatedPairs(1100)...), uniquePairs(600)...), repeatedPairs(350)...)},
+		{"exact-blocks", ps[:block*4]},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			in := ps
-			if tc.name == "exact-blocks" {
-				in = ps[:block*4]
-			}
-			serial := writeWith(t, in, tc.opts, tc.flips)
+			serial := writeWith(t, tc.ps, WriterOptions{BlockSize: block})
 			for _, workers := range []int{2, 4} {
-				o := tc.opts
-				o.Workers = workers
-				par := writeWith(t, in, o, tc.flips)
+				par := writeWith(t, tc.ps, WriterOptions{BlockSize: block, Workers: workers})
 				if !bytes.Equal(serial, par) {
 					t.Fatalf("workers=%d archive differs from serial: %d vs %d bytes",
 						workers, len(par), len(serial))
 				}
 			}
-			got := replayAll(t, serial)
-			if len(got) != len(in) {
-				t.Fatalf("replayed %d packets, want %d", len(got), len(in))
-			}
-			for i := range got {
-				if got[i] != in[i] {
-					t.Fatalf("packet %d: %+v != %+v", i, got[i], in[i])
-				}
-			}
+			assertSameTrace(t, replayAll(t, serial), tc.ps)
 		})
 	}
 }
@@ -112,8 +83,8 @@ func TestRecordBlocksFromMatchesPerPacket(t *testing.T) {
 	ps := synthPackets(5, 4000, 300, 9)
 	src := writeArchive(t, ps, WriterOptions{BlockSize: 333})
 	for _, workers := range []int{1, 3} {
-		opts := WriterOptions{BlockSize: 512, Codec: CodecPacked, Workers: workers}
-		want := writeWith(t, ps, opts, nil)
+		opts := WriterOptions{BlockSize: 512, Workers: workers}
+		want := writeWith(t, ps, opts)
 
 		r, err := NewReader(bytes.NewReader(src))
 		if err != nil {
@@ -173,41 +144,41 @@ func TestRecordFromPrefersBlockDrain(t *testing.T) {
 	}
 }
 
-// TestTranscodeArchivePassthrough pins the encoded-block passthrough:
-// when codec and block geometry match, TranscodeArchive re-frames
-// stored blocks without decoding them, and its output is byte-identical
-// to the decode+re-encode transcode — at any writer worker count.
+// TestTranscodeArchivePassthrough pins the encoded-block passthrough
+// rule: TranscodeArchive re-frames a stored block without decoding it
+// only when it is a dict block of the target block size, and its output
+// is byte-identical to decoding and re-recording the source — at any
+// writer worker count. Packed blocks of the writer's own archives and
+// the DEFLATE blocks of earlier writers are re-encoded.
 func TestTranscodeArchivePassthrough(t *testing.T) {
 	const block = 257
-	ps := synthPackets(31, block*6+100, 500, 5)
-	for _, codec := range []Codec{CodecDeflate, CodecPacked, CodecDict} {
-		t.Run(codec.String(), func(t *testing.T) {
-			src := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: codec})
-			opts := WriterOptions{BlockSize: block, Codec: codec}
-
-			var streamed bytes.Buffer
-			if _, err := TranscodePTRC(bytes.NewReader(src), &streamed, opts); err != nil {
-				t.Fatalf("TranscodePTRC: %v", err)
-			}
+	const n = block*6 + 100
+	for _, tc := range []struct {
+		name        string
+		src         []byte
+		passthrough int64
+	}{
+		{"dict", writeArchive(t, repeatedPairs(n), WriterOptions{BlockSize: block}), 6},
+		{"packed", writeArchive(t, uniquePairs(n), WriterOptions{BlockSize: block}), 0},
+		{"deflate", writeCodecArchive(t, repeatedPairs(n), block, CodecDeflate), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := recordArchive(t, tc.src, WriterOptions{BlockSize: block})
 			for _, workers := range []int{1, 3} {
-				o := opts
-				o.Workers = workers
-				o.Metrics = NewMetrics(obs.NewRegistry())
+				o := WriterOptions{BlockSize: block, Workers: workers, Metrics: NewMetrics(obs.NewRegistry())}
 				var seeked bytes.Buffer
-				n, err := TranscodeArchive(bytes.NewReader(src), int64(len(src)), &seeked, o)
+				got, err := TranscodeArchive(bytes.NewReader(tc.src), int64(len(tc.src)), &seeked, o)
 				if err != nil {
 					t.Fatalf("TranscodeArchive workers=%d: %v", workers, err)
 				}
-				if n != int64(len(ps)) {
-					t.Fatalf("transcoded %d packets, want %d", n, len(ps))
+				if got != n {
+					t.Fatalf("transcoded %d packets, want %d", got, n)
 				}
-				if !bytes.Equal(streamed.Bytes(), seeked.Bytes()) {
-					t.Fatalf("workers=%d: passthrough transcode differs from streamed transcode", workers)
+				if !bytes.Equal(want, seeked.Bytes()) {
+					t.Fatalf("workers=%d: transcode differs from Record over a Reader", workers)
 				}
-				// All 6 full blocks skip the encode stage; only the partial
-				// tail decodes and re-encodes.
-				if got := o.Metrics.PassthroughBlocks.Value(); got != 6 {
-					t.Fatalf("workers=%d: %d passthrough blocks, want 6", workers, got)
+				if got := o.Metrics.PassthroughBlocks.Value(); got != tc.passthrough {
+					t.Fatalf("workers=%d: %d passthrough blocks, want %d", workers, got, tc.passthrough)
 				}
 				if got := o.Metrics.BlocksWritten.Value(); got != 7 {
 					t.Fatalf("workers=%d: %d blocks written, want 7", workers, got)
@@ -218,35 +189,41 @@ func TestTranscodeArchivePassthrough(t *testing.T) {
 }
 
 // TestTranscodeArchiveFallback pins the decode path: a codec or block
-// geometry change disables the passthrough and still matches the
-// streamed transcode byte for byte.
+// geometry change disables the passthrough and still matches decoding
+// and re-recording byte for byte. The codec change re-archives a
+// packed-v1 archive, written regardless of size, into dict blocks.
 func TestTranscodeArchiveFallback(t *testing.T) {
 	ps := synthPackets(43, 2000, 400, 7)
-	src := writeArchive(t, ps, WriterOptions{BlockSize: 250})
 	cases := []struct {
 		name string
+		src  []byte
 		opts WriterOptions
+		mix  string // codec mix of the output, if pinned
 	}{
-		{"codec-change", WriterOptions{BlockSize: 250, Codec: CodecPacked}},
-		{"block-change", WriterOptions{BlockSize: 333}},
+		{"codec-change", writeCodecArchive(t, repeatedPairs(2000), 250, CodecPacked), WriterOptions{BlockSize: 250}, "dict"},
+		{"block-change", writeArchive(t, ps, WriterOptions{BlockSize: 250}), WriterOptions{BlockSize: 333}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var streamed bytes.Buffer
-			if _, err := TranscodePTRC(bytes.NewReader(src), &streamed, tc.opts); err != nil {
-				t.Fatal(err)
-			}
+			want := recordArchive(t, tc.src, tc.opts)
 			o := tc.opts
 			o.Metrics = NewMetrics(obs.NewRegistry())
 			var seeked bytes.Buffer
-			if _, err := TranscodeArchive(bytes.NewReader(src), int64(len(src)), &seeked, o); err != nil {
+			if _, err := TranscodeArchive(bytes.NewReader(tc.src), int64(len(tc.src)), &seeked, o); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(streamed.Bytes(), seeked.Bytes()) {
-				t.Fatal("fallback transcode differs from streamed transcode")
+			if !bytes.Equal(want, seeked.Bytes()) {
+				t.Fatal("fallback transcode differs from Record over a Reader")
 			}
 			if got := o.Metrics.PassthroughBlocks.Value(); got != 0 {
 				t.Fatalf("%d passthrough blocks, want 0", got)
+			}
+			info, err := Info(bytes.NewReader(want), int64(len(want)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.mix != "" && info.CodecMix() != tc.mix {
+				t.Errorf("output codec mix %s, want %s", info.CodecMix(), tc.mix)
 			}
 		})
 	}
@@ -390,8 +367,8 @@ func synthPacketsBench(seed uint64, n, nodes, invalidEvery int) []stream.Packet 
 // The per-packet variant pays one interface call per packet and
 // re-buffers each one; the bulk variant appends whole blocks.
 func benchmarkTranscode(b *testing.B, perPacket bool) {
-	src := buildTranscodeFixture(b, 1<<16, WriterOptions{BlockSize: 1 << 13, Codec: CodecPacked})
-	opts := WriterOptions{BlockSize: 1 << 13, Codec: CodecPacked}
+	opts := WriterOptions{BlockSize: 1 << 13}
+	src := buildTranscodeFixture(b, 1<<16, opts)
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -410,14 +387,19 @@ func benchmarkTranscode(b *testing.B, perPacket bool) {
 	}
 }
 
-func BenchmarkTranscodePTRCBulk(b *testing.B)      { benchmarkTranscode(b, false) }
-func BenchmarkTranscodePTRCPerPacket(b *testing.B) { benchmarkTranscode(b, true) }
+func BenchmarkTranscodeBulk(b *testing.B)      { benchmarkTranscode(b, false) }
+func BenchmarkTranscodePerPacket(b *testing.B) { benchmarkTranscode(b, true) }
 
 // BenchmarkTranscodeArchivePassthrough measures the verbatim re-frame
-// path: same codec and geometry, no decode, no re-encode.
+// path: dict blocks at the same block size, no decode, no re-encode.
 func BenchmarkTranscodeArchivePassthrough(b *testing.B) {
-	src := buildTranscodeFixture(b, 1<<16, WriterOptions{BlockSize: 1 << 13, Codec: CodecPacked})
-	opts := WriterOptions{BlockSize: 1 << 13, Codec: CodecPacked}
+	opts := WriterOptions{BlockSize: 1 << 13}
+	ps := repeatedPairs(1 << 16)
+	var buf bytes.Buffer
+	if _, err := Record(&buf, stream.NewSliceSource(ps), opts); err != nil {
+		b.Fatal(err)
+	}
+	src := buf.Bytes()
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()

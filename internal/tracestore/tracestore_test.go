@@ -85,7 +85,7 @@ func TestRoundTripSequential(t *testing.T) {
 	for codec := Codec(0); codec < numCodecs; codec++ {
 		for _, n := range []int{1, 2, block - 1, block, block + 1, 3*block + 17} {
 			ps := synthPackets(uint64(n), n, 1000, 7)
-			data := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: codec})
+			data := archiveOf(t, ps, block, codec)
 			r, err := NewReader(bytes.NewReader(data))
 			if err != nil {
 				t.Fatalf("%v n=%d: %v", codec, n, err)
@@ -102,7 +102,7 @@ func TestRoundTripParallel(t *testing.T) {
 	const block = 256
 	ps := synthPackets(3, 10*block+99, 5000, 11)
 	for codec := Codec(0); codec < numCodecs; codec++ {
-		data := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: codec})
+		data := archiveOf(t, ps, block, codec)
 		for _, workers := range []int{1, 2, 4, 7} {
 			r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
 				ParallelOptions{Workers: workers})
@@ -139,7 +139,7 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 		}
 		codec := Codec(trial % int(numCodecs))
-		data := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: codec})
+		data := archiveOf(t, ps, block, codec)
 
 		seq, err := NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -322,9 +322,6 @@ func TestWriterConcatenatesSources(t *testing.T) {
 }
 
 func TestWriterOptionValidation(t *testing.T) {
-	if _, err := NewWriter(&bytes.Buffer{}, WriterOptions{Level: 42}); err == nil {
-		t.Error("expected error for invalid compression level")
-	}
 	if _, err := NewWriter(&bytes.Buffer{}, WriterOptions{BlockSize: maxBlockPackets + 1}); err == nil {
 		t.Error("expected error for oversized block")
 	}

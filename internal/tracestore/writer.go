@@ -1,8 +1,6 @@
 package tracestore
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -13,19 +11,12 @@ import (
 )
 
 // WriterOptions configures a PTRC writer. The zero value selects the
-// defaults.
+// defaults. The codec is not an option: every block is written as a
+// dict block or, when that is strictly smaller, a packed block.
 type WriterOptions struct {
 	// BlockSize is the number of packets per block; <= 0 selects
 	// DefaultBlockSize.
 	BlockSize int
-	// Level is the DEFLATE compression level (flate.BestSpeed .. 9);
-	// 0 selects flate.DefaultCompression. Used by CodecDeflate only.
-	Level int
-	// Codec selects the block codec. The zero value is CodecDict, which
-	// writes each block as a dict block or, when that is strictly
-	// smaller, a packed block. Explicit CodecDeflate and CodecPacked
-	// write the same bytes as before the dict codec existed.
-	Codec Codec
 	// Workers selects the number of parallel compress workers for the
 	// record path. <= 1 (the default) keeps the serial inline encode on
 	// the caller's goroutine; higher values pipeline sealed batches
@@ -33,9 +24,9 @@ type WriterOptions struct {
 	// parwriter.go). The archive bytes are identical at any worker
 	// count.
 	Workers int
-	// Metrics, when non-nil, instruments the writer (blocks written,
-	// per-codec encode time, raw/compressed byte totals, and — in
-	// parallel mode — queue depth, worker occupancy and commit stalls).
+	// Metrics, when non-nil, instruments the writer (blocks written per
+	// codec, encode time, raw/compressed byte totals, and — in parallel
+	// mode — queue depth, worker occupancy and commit stalls).
 	Metrics *Metrics
 }
 
@@ -46,15 +37,6 @@ func (o WriterOptions) normalize() (WriterOptions, error) {
 	if o.BlockSize > maxBlockPackets {
 		return o, fmt.Errorf("tracestore: block size %d exceeds %d", o.BlockSize, maxBlockPackets)
 	}
-	if o.Level == 0 {
-		o.Level = flate.DefaultCompression
-	}
-	if o.Level < flate.HuffmanOnly || o.Level > flate.BestCompression {
-		return o, fmt.Errorf("tracestore: invalid compression level %d", o.Level)
-	}
-	if o.Codec >= numCodecs {
-		return o, fmt.Errorf("tracestore: unknown codec %d", o.Codec)
-	}
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
@@ -64,63 +46,25 @@ func (o WriterOptions) normalize() (WriterOptions, error) {
 // blockEncoder turns one sealed batch of packets into a complete block
 // record (tag | header | payload). It is the single encode path shared
 // by the serial writer and every pipeline worker, which is what makes
-// serial and parallel archives byte-identical: DEFLATE at a fixed level
-// is deterministic per input, the packed and dict codecs are canonical,
-// and the header is a pure function of the payload.
+// serial and parallel archives byte-identical: the dict and packed
+// payloads are canonical, the choice between them depends on the
+// packets only, and the header is a pure function of the payload.
 type blockEncoder struct {
-	level int
-	fw    *flate.Writer // lazily created on the first DEFLATE block
-	rw    recWriter
-	raw   []byte
-	dict  dictEncoder
-	m     *Metrics
+	dict dictEncoder
+	m    *Metrics
 }
 
-// recWriter adapts a plain byte slice into the io.Writer flate needs,
-// so records assemble into pooled buffers without a bytes.Buffer.
-type recWriter struct{ b []byte }
-
-func (w *recWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// encodeRecord assembles the complete record for packets under codec
-// into rec (contents overwritten, capacity reused) and returns it with
-// the block's index entry, whose codec is the one the block was written
-// in: CodecDict may yield a packed block. The packets slice is not
-// retained.
-func (e *blockEncoder) encodeRecord(rec []byte, packets []stream.Packet, codec Codec) ([]byte, blockInfo, error) {
+// encodeRecord assembles the complete record for packets into rec
+// (contents overwritten, capacity reused) and returns it with the
+// block's index entry, whose codec is the one the block was written in:
+// CodecDict, or CodecPacked when that payload is strictly smaller. The
+// packets slice is not retained.
+func (e *blockEncoder) encodeRecord(rec []byte, packets []stream.Packet) ([]byte, blockInfo) {
 	rec = append(rec[:0], 0) // tag, set below
 	var hdr [blockHeaderLen]byte
 	rec = append(rec, hdr[:]...)
-	var rawLen int
-	sp := e.m.encodeStart(codec)
-	switch codec {
-	case CodecDict:
-		rec, rawLen, codec = e.dict.appendBlock(rec, packets)
-	case CodecPacked:
-		rec, rawLen = encodeBlockPacked(rec, packets)
-	default:
-		e.raw = encodeBlockRaw(e.raw[:0], packets)
-		rawLen = len(e.raw)
-		if e.fw == nil {
-			fw, err := flate.NewWriter(nil, e.level)
-			if err != nil {
-				return rec, blockInfo{}, err
-			}
-			e.fw = fw
-		}
-		e.rw.b = rec
-		e.fw.Reset(&e.rw)
-		if _, err := e.fw.Write(e.raw); err != nil {
-			return e.rw.b, blockInfo{}, err
-		}
-		if err := e.fw.Close(); err != nil {
-			return e.rw.b, blockInfo{}, err
-		}
-		rec, e.rw.b = e.rw.b, nil
-	}
+	sp := e.m.encodeStart()
+	rec, rawLen, codec := e.dict.appendBlock(rec, packets)
 	sp.Stop()
 	rec[0] = tagForCodec(codec)
 
@@ -144,7 +88,7 @@ func (e *blockEncoder) encodeRecord(rec []byte, packets []stream.Packet, codec C
 		compLen: info.compLen,
 		crc:     crc32.Checksum(comp, crcTable),
 	})
-	return rec, info, nil
+	return rec, info
 }
 
 // EncodedBlock is one stored block record's payload plus its index
@@ -179,20 +123,17 @@ func encodedRecord(rec []byte, b EncodedBlock) []byte {
 }
 
 // Writer streams packets into a PTRC archive. Packets accumulate into a
-// block buffer of BlockSize packets; each full block is encoded under
-// the writer's codec and written as one record, so
-// memory stays O(block) in serial mode and O(workers × block) in
-// pipelined mode, regardless of trace length. Close flushes the final
+// block buffer of BlockSize packets; each full block is encoded and
+// written as one record, so memory stays O(block) in serial mode and
+// O(workers × block) in pipelined mode, regardless of trace length. Close flushes the final
 // partial block and writes the index and footer; an archive without
 // them is detectably truncated.
 type Writer struct {
 	w      io.Writer
 	opts   WriterOptions
-	codec  Codec // codec for the next flushed block (see SetCodec)
 	buf    []stream.Packet
 	enc    blockEncoder // serial encode path
-	recBuf []byte       // serial record assembly buffer
-	rec    bytes.Buffer // index/footer assembly
+	recBuf []byte       // record assembly buffer (blocks, then index and footer)
 	pipe   *writePipeline
 	blocks []blockInfo
 	total  int64
@@ -211,11 +152,10 @@ func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 		return nil, err
 	}
 	tw := &Writer{
-		w:     w,
-		opts:  opts,
-		codec: opts.Codec,
-		enc:   blockEncoder{level: opts.Level, m: opts.Metrics},
-		buf:   make([]stream.Packet, 0, opts.BlockSize),
+		w:    w,
+		opts: opts,
+		enc:  blockEncoder{m: opts.Metrics},
+		buf:  make([]stream.Packet, 0, opts.BlockSize),
 	}
 	if _, err := io.WriteString(w, fileMagic); err != nil {
 		tw.err = err
@@ -225,20 +165,6 @@ func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 		tw.pipe = newWritePipeline(w, opts)
 	}
 	return tw, nil
-}
-
-// SetCodec changes the codec used for blocks flushed from now on —
-// including the currently buffered partial block — making mixed-codec
-// archives writable without reopening the writer. In pipelined mode the
-// codec is latched into each batch as it seals, so the rule is
-// identical: packets buffered at the time of the call flush under the
-// new codec. It returns an error only for an unknown codec.
-func (w *Writer) SetCodec(c Codec) error {
-	if c >= numCodecs {
-		return fmt.Errorf("tracestore: unknown codec %d", c)
-	}
-	w.codec = c
-	return nil
 }
 
 // Write archives one packet.
@@ -337,10 +263,10 @@ func (w *Writer) RecordBlocksFrom(src stream.BlockSource) (int64, error) {
 
 // WriteEncodedBlock re-frames an already-encoded block into the archive
 // verbatim — the transcode passthrough. A block is eligible only when
-// no partial batch is buffered, its codec matches the writer's current
-// codec, and its packet count equals the writer's BlockSize, so the
-// record sequence stays exactly what encoding the packets would have
-// produced. It returns (false, nil) for an ineligible block — the
+// no partial batch is buffered, it is a dict block, and its packet
+// count equals the writer's BlockSize: encoding the packets of such a
+// block (from an archive this package wrote) yields the same record,
+// so the passthrough changes no byte of the output. It returns (false, nil) for an ineligible block — the
 // caller decodes it and replays the packets through Write instead —
 // and never retains b.Payload. The payload must already be verified
 // against its source CRC: the stored checksum is recomputed here, so
@@ -352,10 +278,7 @@ func (w *Writer) WriteEncodedBlock(b EncodedBlock) (bool, error) {
 	if w.closed {
 		return false, errors.New("tracestore: write after Close")
 	}
-	if b.Codec >= numCodecs {
-		return false, fmt.Errorf("tracestore: unknown codec %d", b.Codec)
-	}
-	if len(w.buf) > 0 || b.Codec != w.codec || b.Packets != w.opts.BlockSize {
+	if len(w.buf) > 0 || b.Codec != CodecDict || b.Packets != w.opts.BlockSize {
 		return false, nil
 	}
 	info := blockInfo{
@@ -381,19 +304,15 @@ func (w *Writer) WriteEncodedBlock(b EncodedBlock) (bool, error) {
 	return true, nil
 }
 
-// flushBlock seals the buffered packets as one block under the writer's
-// current codec: encoded and written inline in serial mode, handed to
-// the compress pipeline otherwise.
+// flushBlock seals the buffered packets as one block: encoded and
+// written inline in serial mode, handed to the compress pipeline
+// otherwise.
 func (w *Writer) flushBlock() error {
 	if w.pipe != nil {
 		return w.pipe.submitBatch(w)
 	}
-	rec, info, err := w.enc.encodeRecord(w.recBuf, w.buf, w.codec)
+	rec, info := w.enc.encodeRecord(w.recBuf, w.buf)
 	w.recBuf = rec
-	if err != nil {
-		w.err = err
-		return err
-	}
 	if _, err := w.w.Write(rec); err != nil {
 		w.err = err
 		return err
@@ -433,36 +352,30 @@ func (w *Writer) Close() error {
 			return err
 		}
 	}
-	payload := encodeIndexPayload(w.blocks, w.total, w.valid)
-	crc := crc32.Checksum(payload, crcTable)
-	indexOffset := int64(len(fileMagic))
-	for _, bl := range w.blocks {
-		indexOffset += 1 + blockHeaderLen + int64(bl.compLen)
-	}
-
-	w.rec.Reset()
-	w.rec.WriteByte(tagIndex)
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(payload)))
-	w.rec.Write(u32[:])
-	binary.LittleEndian.PutUint32(u32[:], crc)
-	w.rec.Write(u32[:])
-	w.rec.Write(payload)
-
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(indexOffset))
-	w.rec.Write(u64[:])
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(payload)))
-	w.rec.Write(u32[:])
-	binary.LittleEndian.PutUint32(u32[:], crc)
-	w.rec.Write(u32[:])
-	w.rec.WriteString(footerMagic)
-
-	if _, err := w.w.Write(w.rec.Bytes()); err != nil {
+	w.recBuf = appendTrailer(w.recBuf[:0], w.blocks, encodeIndexPayload(w.blocks, w.total, w.valid))
+	if _, err := w.w.Write(w.recBuf); err != nil {
 		w.err = err
 		return err
 	}
 	return nil
+}
+
+// appendTrailer appends to dst the index record holding payload and
+// the footer of an archive whose blocks are listed in blocks.
+func appendTrailer(dst []byte, blocks []blockInfo, payload []byte) []byte {
+	crc := crc32.Checksum(payload, crcTable)
+	indexOffset := int64(len(fileMagic))
+	for _, bl := range blocks {
+		indexOffset += 1 + blockHeaderLen + int64(bl.compLen)
+	}
+	dst = append(dst, tagIndex)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	dst = append(dst, payload...)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(indexOffset))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	return append(dst, footerMagic...)
 }
 
 // Packets reports the number of packets archived so far.
